@@ -36,7 +36,9 @@ int Usage() {
       "                  [--threads N] [--json FILE] [--csv FILE]\n"
       "                  [--baseline FILE] [--scenario \"key=val;key=val\"]\n"
       "--baseline compares the run's cost aggregates against a committed\n"
-      "JSON-lines dump and fails on drift (CI regression guard).\n"
+      "JSON-lines dump and fails on drift (CI regression guard); it runs\n"
+      "even when a suite fails. Exit: 1 cost drift or I/O error, 2 usage,\n"
+      "3 a suite or timing gate failed with the cost guard clean.\n"
       "run 'aigs_bench --list' for suites, policies, and scenario fields.\n");
   return 2;
 }
@@ -59,6 +61,10 @@ int List() {
   return 0;
 }
 
+// Exit code of a run whose suites or timing gates failed but whose cost
+// guard was clean; 1 stays reserved for cost drift and I/O errors.
+constexpr int kSuiteFailed = 3;
+
 int CheckBaseline(const std::vector<ScenarioResult>& results,
                   const std::string& baseline_path, bool require_complete) {
   if (baseline_path.empty()) {
@@ -68,10 +74,12 @@ int CheckBaseline(const std::vector<ScenarioResult>& results,
       CheckAgainstBaseline(results, baseline_path, require_complete);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+    std::printf("baseline: %s FAILED\n", baseline_path.c_str());
     return 1;
   }
-  std::printf("baseline: %s OK (%zu scenarios, cost aggregates match)\n",
-              baseline_path.c_str(), results.size());
+  std::printf("baseline: %s OK (%zu scenarios, cost aggregates match%s)\n",
+              baseline_path.c_str(), results.size(),
+              require_complete ? "" : "; partial run, emitted rows only");
   return 0;
 }
 
@@ -238,14 +246,15 @@ int Main(int argc, char** argv) {
     std::printf("\n");
   }
   const int emit_code = EmitResults(results, json_path, csv_path);
-  if (code != 0) {
-    // A failed suite already produced a real error; a guard run over the
-    // partial result set would only bury it in bogus "was not run" noise.
-    return code;
-  }
+  // The cost guard runs whatever the suites reported: a failed timing gate
+  // must not hide a cost regression. A failed suite stops early, so its
+  // run checks only the rows that were emitted.
   const int baseline_code =
-      CheckBaseline(results, baseline_path, /*require_complete=*/true);
-  return emit_code != 0 ? emit_code : baseline_code;
+      CheckBaseline(results, baseline_path, /*require_complete=*/code == 0);
+  if (baseline_code != 0 || emit_code != 0) {
+    return 1;
+  }
+  return code != 0 ? kSuiteFailed : 0;
 }
 
 }  // namespace

@@ -49,10 +49,11 @@ StatusOr<Dataset> BuildBuiltinDataset(const std::string& name,
                           "' (amazon, imagenet, vehicle, fig2, fig3)");
 }
 
-/// Maps a ScenarioSpec::reach value onto ReachabilityOptions. dense and
-/// compressed force closure storage on trees too — otherwise tree datasets
-/// would silently fall back to Euler mode and the scenario would not
-/// exercise the storage it names.
+/// Maps a ScenarioSpec::reach value onto ReachabilityOptions. auto is the
+/// index's default: Euler intervals on trees, compressed rows on DAGs.
+/// dense and compressed force closure storage on trees too — otherwise tree
+/// datasets would silently fall back to Euler mode and the scenario would
+/// not exercise the storage it names.
 StatusOr<ReachabilityOptions> ParseReachMode(const std::string& reach) {
   ReachabilityOptions options;
   if (reach.empty() || reach == "auto") {

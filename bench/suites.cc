@@ -2456,15 +2456,15 @@ Status BigcatalogMillion(SuiteContext& ctx) {
   const double gen_ms = gen_timer.ElapsedMillis();
 
   WallTimer build_timer;
-  auto built = Hierarchy::Build(std::move(g));  // kAuto: must go compressed
+  auto built = Hierarchy::Build(std::move(g));  // default: compressed rows
   AIGS_RETURN_NOT_OK(built.status());
   const Hierarchy h = *std::move(built);
   const double build_ms = build_timer.ElapsedMillis();
   if (h.reach().storage() !=
       ReachabilityIndex::Storage::kCompressedClosure) {
     return Status::Internal(
-        "kAuto picked dense storage for a " + FormatWithCommas(n) +
-        "-node DAG — the compress threshold is not engaging");
+        "the default build of a " + FormatWithCommas(n) +
+        "-node DAG did not pick compressed closure rows");
   }
 
   const std::size_t index_bytes = h.reach().MemoryBytes();

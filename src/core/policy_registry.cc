@@ -202,8 +202,8 @@ StatusOr<SelectionBackend> ConsumeBackend(const PolicyContext& context,
   if (backend == "closure") {
     if (storage != ReachabilityIndex::Storage::kDenseClosure) {
       return Status::InvalidArgument(
-          "backend=closure requires dense closure rows, but this hierarchy "
-          "uses " +
+          "backend=closure requires dense closure rows "
+          "(ReachabilityOptions::Closure::kDense), but this hierarchy uses " +
           std::string(storage == ReachabilityIndex::Storage::kEuler
                           ? "Euler intervals (tree)"
                           : "compressed closure rows"));
@@ -213,9 +213,8 @@ StatusOr<SelectionBackend> ConsumeBackend(const PolicyContext& context,
   if (backend == "compressed") {
     if (storage != ReachabilityIndex::Storage::kCompressedClosure) {
       return Status::InvalidArgument(
-          "backend=compressed requires compressed closure rows "
-          "(ReachabilityOptions::Closure::kCompressed), but this hierarchy "
-          "uses " +
+          "backend=compressed requires compressed closure rows (the "
+          "default for DAGs), but this hierarchy uses " +
           std::string(storage == ReachabilityIndex::Storage::kEuler
                           ? "Euler intervals (tree)"
                           : "dense closure rows"));

@@ -17,12 +17,7 @@ ReachabilityIndex::ReachabilityIndex(const Digraph& g,
     BuildEuler();
     return;
   }
-  bool compressed = options.closure == ReachabilityOptions::Closure::kCompressed;
-  if (options.closure == ReachabilityOptions::Closure::kAuto) {
-    compressed = DenseClosureBytes(g.NumNodes()) >
-                 static_cast<U128>(options.compress_threshold_bytes);
-  }
-  if (compressed) {
+  if (options.closure == ReachabilityOptions::Closure::kCompressed) {
     storage_ = Storage::kCompressedClosure;
     compressed_ = std::make_unique<CompressedClosure>(
         g, CompressedClosure::BuildOptions{options.build_threads,
@@ -72,9 +67,9 @@ void ReachabilityIndex::BuildEuler() {
 void ReachabilityIndex::BuildClosure(const ReachabilityOptions& options) {
   const Digraph& g = *graph_;
   const std::size_t n = g.NumNodes();
-  // Guard the n² size math before touching the allocator: a million-node
-  // catalog must be routed to compressed storage, not die in a 125 GB (or,
-  // on 32-bit size_t, silently wrapped) allocation.
+  // Guard the n² size math before touching the allocator: a dense pin on a
+  // million-node catalog must fail here, not die in a 125 GB (or, on
+  // 32-bit size_t, silently wrapped) allocation.
   AIGS_CHECK(DenseClosureBytes(n) <=
              static_cast<U128>(std::numeric_limits<std::size_t>::max()));
   closure_.resize(n);

@@ -3,17 +3,17 @@
 // GreedyDAG (w̃(v) = w(G_v)) and the ground truth behind the simulated
 // oracle.
 //
-// Three storage modes:
+// Storage modes:
 //   - Euler intervals for tree hierarchies — O(n) memory.
-//   - Dense bitset closure rows for DAGs — O(n²/8) memory (~96 MB for the
-//     paper's 28k-node ImageNet hierarchy), built in reverse topological
-//     order.
-//   - Compressed closure rows (graph/compressed_closure.h) — interval /
-//     chunked hybrid rows over a DFS-preorder permutation, built streaming
-//     with one dense scratch row. kAuto switches to this when dense rows
-//     would blow the configured byte threshold, which is what makes
-//     million-node catalogs buildable at all: the dense estimate at 1M
-//     nodes is ~125 GB.
+//   - Compressed closure rows (graph/compressed_closure.h) for every other
+//     hierarchy — interval / chunked hybrid rows over a DFS-preorder
+//     permutation, built streaming with one dense scratch row. At the
+//     paper's 28k-node ImageNet DAG they take 0.8 MB where dense rows take
+//     92 MB, and they are what makes million-node catalogs buildable at
+//     all: the dense footprint at 1M nodes is ~125 GB.
+//   - Dense bitset closure rows — O(n²/8) memory, built in reverse
+//     topological order. Only an explicit Closure::kDense pin builds them;
+//     they remain for the bench's dense-vs-compressed comparisons.
 #ifndef AIGS_GRAPH_REACHABILITY_H_
 #define AIGS_GRAPH_REACHABILITY_H_
 
@@ -33,21 +33,17 @@ class ThreadPool;
 /// Storage selection for ReachabilityIndex.
 struct ReachabilityOptions {
   enum class Closure {
-    kAuto,        // dense unless the estimate exceeds the threshold
-    kDense,       // force dense bitset rows
-    kCompressed,  // force compressed rows
+    kCompressed,  // compressed rows (the default)
+    kDense,       // dense bitset rows, only when pinned explicitly
   };
-  Closure closure = Closure::kAuto;
+  /// Storage for non-tree hierarchies (and trees when
+  /// `force_closure_on_trees` is set).
+  Closure closure = Closure::kCompressed;
 
   /// Trees normally use Euler intervals regardless of `closure`; setting
   /// this forces the closure machinery on trees too, so closure-path code
   /// can be exercised (and benched) on every hierarchy shape.
   bool force_closure_on_trees = false;
-
-  /// kAuto picks compressed storage when the dense closure estimate
-  /// n·⌈n/64⌉·8 bytes exceeds this (default 256 MB — every paper-scale
-  /// dataset stays dense, million-node catalogs go compressed).
-  std::size_t compress_threshold_bytes = std::size_t{256} << 20;
 
   /// Closure build concurrency: 0 = hardware concurrency, 1 = serial.
   /// Parallel builds levelize rows by dependency depth and shard each
@@ -68,8 +64,8 @@ class ReachabilityIndex {
   enum class Storage { kEuler, kDenseClosure, kCompressedClosure };
 
   /// Builds the index. Uses Euler intervals when `g.IsTree()` (unless
-  /// forced off), otherwise dense or compressed closure rows per
-  /// `options`. The graph must outlive the index.
+  /// forced off), otherwise the closure rows `options.closure` names. The
+  /// graph must outlive the index.
   explicit ReachabilityIndex(const Digraph& g, ReachabilityOptions options = {});
 
   /// True iff v is reachable from u (u reaches u).

@@ -1,10 +1,11 @@
 // Reachability backend equivalence: the three ReachabilityIndex storages
 // (Euler intervals, dense closure, compressed closure) must answer every
-// query identically, and every registered policy must emit bit-identical
-// transcripts no matter which storage — or which greedy_naive/batched
-// selection backend — it runs on. Transcript identity is the repo's core
-// invariant: compression is allowed to change memory and latency, never a
-// single question.
+// query identically, and the default build must pick Euler intervals for
+// trees and compressed rows for everything else. Every registered policy
+// must emit bit-identical transcripts no matter which storage — or which
+// greedy_naive/batched selection backend — it runs on. Transcript identity
+// is the repo's core invariant: compression is allowed to change memory and
+// latency, never a single question.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -179,6 +180,57 @@ TEST(ReachabilityStorages, AgreeOnDags) {
     ExpectIndexesAgree(g, ReachabilityIndex(g, CompressedOpts()),
                        ReachabilityIndex::Storage::kCompressedClosure);
   }
+}
+
+// ---- default storage: compressed rows for every non-tree hierarchy --------
+
+// A 60-node DAG's dense rows would take ~480 bytes: size does not decide
+// the storage, the shape does.
+TEST(DefaultStorage, DagsGetCompressedRowsAtAnySize) {
+  Rng rng(51);
+  const Digraph g = RandomDag(60, rng, 0.3);
+  ASSERT_FALSE(g.IsTree());
+  ExpectIndexesAgree(g, ReachabilityIndex(g),
+                     ReachabilityIndex::Storage::kCompressedClosure);
+  const Hierarchy h = testing::MustBuild(Digraph(g));
+  EXPECT_EQ(h.reach().storage(),
+            ReachabilityIndex::Storage::kCompressedClosure);
+}
+
+TEST(DefaultStorage, TreesKeepEulerIntervals) {
+  Rng rng(52);
+  const Digraph g = RandomTree(60, rng);
+  EXPECT_EQ(ReachabilityIndex(g).storage(),
+            ReachabilityIndex::Storage::kEuler);
+  EXPECT_EQ(testing::MustBuild(Digraph(g)).reach().storage(),
+            ReachabilityIndex::Storage::kEuler);
+}
+
+TEST(DefaultStorage, ForcedClosureOnTreesIsCompressed) {
+  Rng rng(53);
+  const Digraph g = RandomTree(60, rng);
+  ReachabilityOptions options;
+  options.force_closure_on_trees = true;
+  ExpectIndexesAgree(g, ReachabilityIndex(g, options),
+                     ReachabilityIndex::Storage::kCompressedClosure);
+}
+
+// backend=closure now needs an explicit dense pin; on a default build it
+// must fail naming the storage the hierarchy actually has.
+TEST(DefaultStorage, ClosurePinNeedsDenseRows) {
+  Rng rng(54);
+  const Hierarchy h = testing::MustBuild(RandomDag(60, rng, 0.3));
+  const Distribution dist = EqualDistribution(h.NumNodes());
+  const PolicyContext ctx{&h, &dist, nullptr};
+  EXPECT_TRUE(PolicyRegistry::Global()
+                  .Create("greedy_naive:backend=compressed", ctx)
+                  .ok());
+  const auto closure =
+      PolicyRegistry::Global().Create("greedy_naive:backend=closure", ctx);
+  ASSERT_FALSE(closure.ok());
+  EXPECT_EQ(closure.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(closure.status().message().find("compressed"), std::string::npos)
+      << closure.status().ToString();
 }
 
 // ---- transcript identity for every registered policy ----------------------
