@@ -1818,9 +1818,12 @@ Status SuiteDurability(SuiteContext& ctx) {
   AIGS_ASSIGN_OR_RETURN(const Dataset* amazon,
                         ctx.cache->Get("amazon", scale));
   AIGS_RETURN_NOT_OK(DurabilityBehaviorIdentity(ctx, *amazon));
-  AIGS_RETURN_NOT_OK(DurabilityAnswerOverhead(ctx, *amazon));
+  // The overhead SLO verdict is returned only after recovery has run, so a
+  // violation on a slow host cannot drop the recovery rows from the export
+  // (and from what the smoke cost guard compares).
+  const Status overhead = DurabilityAnswerOverhead(ctx, *amazon);
   AIGS_RETURN_NOT_OK(DurabilityRecoveryThroughput(ctx, *amazon));
-  return Status::OK();
+  return overhead;
 }
 
 // ---- network: wire front end, shard router, loadgen SLOs (PR 8) -----------

@@ -147,12 +147,12 @@ Digraph GenerateCatalogDag(const CatalogParams& params) {
   for (NodeId v = 1; v < n; ++v) {
     ++out_degree[s.parent[v]];
   }
-  std::unordered_set<std::uint64_t> edges;
-  for (NodeId v = 1; v < n; ++v) {
-    edges.insert((static_cast<std::uint64_t>(s.parent[v]) << 32) | v);
-  }
   const auto extra = static_cast<std::size_t>(
       params.extra_parent_frac * static_cast<double>(n));
+  // Extra edges drawn so far; tree edges never need a lookup because
+  // `u == s.parent[v]` rejects them before the set is consulted.
+  std::unordered_set<std::uint64_t> edges;
+  edges.reserve(extra);
   std::size_t added = 0;
   std::size_t attempts = 0;
   while (added < extra && attempts < 50 * extra + 100) {
@@ -204,29 +204,36 @@ Distribution AssignZipfObjectCounts(std::size_t num_nodes,
     mass_total += mass[order[r]];
   }
 
-  // Largest-remainder scaling to hit total_objects exactly.
+  // Largest-remainder scaling to hit total_objects exactly; each node's
+  // mass slot is overwritten with its remainder.
   std::vector<Weight> counts(num_nodes);
-  std::vector<std::pair<double, NodeId>> remainders(num_nodes);
+  std::vector<double>& remainder = mass;
   std::uint64_t assigned = 0;
   for (NodeId v = 0; v < num_nodes; ++v) {
     const double exact =
         mass[v] / mass_total * static_cast<double>(total_objects);
     counts[v] = static_cast<Weight>(exact);
     assigned += counts[v];
-    remainders[v] = {exact - static_cast<double>(counts[v]), v};
+    remainder[v] = exact - static_cast<double>(counts[v]);
   }
-  std::sort(remainders.begin(), remainders.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first > b.first
-                                        : a.second < b.second;
-            });
   AIGS_CHECK(assigned <= total_objects);
-  std::uint64_t leftover = total_objects - assigned;
-  for (std::size_t i = 0; i < remainders.size() && leftover > 0;
-       ++i, --leftover) {
-    ++counts[remainders[i].second];
+  const std::uint64_t leftover = total_objects - assigned;
+  AIGS_CHECK(leftover <= num_nodes);
+  // The `leftover` largest remainders under a strict total order (remainder
+  // descending, id ascending) get one more object each; selecting them needs
+  // no full sort. `order` is reused as the candidate list.
+  const auto top = order.begin() + static_cast<std::ptrdiff_t>(leftover);
+  if (top != order.end()) {
+    std::nth_element(order.begin(), top, order.end(),
+                     [&remainder](NodeId a, NodeId b) {
+                       return remainder[a] != remainder[b]
+                                  ? remainder[a] > remainder[b]
+                                  : a < b;
+                     });
   }
-  AIGS_CHECK(leftover == 0);
+  for (auto it = order.begin(); it != top; ++it) {
+    ++counts[*it];
+  }
 
   auto d = Distribution::FromWeights(std::move(counts));
   AIGS_CHECK(d.ok());

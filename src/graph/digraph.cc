@@ -1,146 +1,160 @@
 #include "graph/digraph.h"
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
 
 namespace aigs {
 
 NodeId Digraph::AddNode(std::string label) {
   AIGS_CHECK(!finalized_);
-  AIGS_CHECK(labels_.size() < kInvalidNode);
-  labels_.push_back(std::move(label));
-  return static_cast<NodeId>(labels_.size() - 1);
+  AIGS_CHECK(num_nodes_ < kInvalidNode);
+  const auto v = static_cast<NodeId>(num_nodes_++);
+  if (!label.empty()) {
+    labels_.emplace(v, std::move(label));
+  }
+  return v;
 }
 
 NodeId Digraph::AddNodes(std::size_t count) {
   AIGS_CHECK(!finalized_);
-  const NodeId first = static_cast<NodeId>(labels_.size());
-  labels_.resize(labels_.size() + count);
+  AIGS_CHECK(count <= kInvalidNode - num_nodes_);
+  const auto first = static_cast<NodeId>(num_nodes_);
+  num_nodes_ += count;
   return first;
 }
 
 void Digraph::SetLabel(NodeId v, std::string label) {
   AIGS_CHECK(!finalized_);
-  AIGS_CHECK(v < labels_.size());
-  labels_[v] = std::move(label);
+  AIGS_CHECK(v < num_nodes_);
+  if (label.empty()) {
+    labels_.erase(v);
+  } else {
+    labels_.insert_or_assign(v, std::move(label));
+  }
+}
+
+const std::string& Digraph::Label(NodeId v) const {
+  AIGS_DCHECK(v < NumNodes());
+  static const std::string kUnlabeled;
+  const auto it = labels_.find(v);
+  return it == labels_.end() ? kUnlabeled : it->second;
 }
 
 void Digraph::AddEdge(NodeId parent, NodeId child) {
   AIGS_CHECK(!finalized_);
-  AIGS_CHECK(parent < labels_.size() && child < labels_.size());
+  AIGS_CHECK(parent < num_nodes_ && child < num_nodes_);
   AIGS_CHECK(parent != child);
   edges_.push_back(Edge{parent, child});
+}
+
+void Digraph::BuildCsr() {
+  // Counting sort keyed by parent (resp. child), filled back to front so each
+  // adjacency list keeps edge insertion order; offsets end up as list starts.
+  const auto fill = [this](std::vector<std::size_t>& offsets,
+                           std::vector<NodeId>& targets, auto key, auto value) {
+    offsets.assign(num_nodes_ + 1, 0);
+    for (const Edge& e : edges_) {
+      ++offsets[key(e)];
+    }
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    targets.resize(edges_.size());
+    for (auto e = edges_.rbegin(); e != edges_.rend(); ++e) {
+      targets[--offsets[key(*e)]] = value(*e);
+    }
+  };
+  const auto parent = [](const Edge& e) { return e.parent; };
+  const auto child = [](const Edge& e) { return e.child; };
+  fill(child_offsets_, children_, parent, child);
+  fill(parent_offsets_, parents_, child, parent);
 }
 
 Status Digraph::Finalize(bool add_dummy_root) {
   if (finalized_) {
     return Status::FailedPrecondition("graph already finalized");
   }
-  if (labels_.empty()) {
+  if (num_nodes_ == 0) {
     return Status::InvalidArgument("graph has no nodes");
   }
+  BuildCsr();
 
-  // Reject duplicate edges.
-  {
-    std::vector<Edge> sorted = edges_;
-    std::sort(sorted.begin(), sorted.end(), [](const Edge& a, const Edge& b) {
-      return a.parent != b.parent ? a.parent < b.parent : a.child < b.child;
-    });
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i].parent == sorted[i - 1].parent &&
-          sorted[i].child == sorted[i - 1].child) {
-        return Status::InvalidArgument(
-            "duplicate edge " + std::to_string(sorted[i].parent) + " -> " +
-            std::to_string(sorted[i].child));
+  // One 32-bit word per node, plus room for a dummy root.
+  std::vector<NodeId> scratch(num_nodes_ + 1, kInvalidNode);
+
+  // Reject duplicate edges: scanning parents in increasing order and marking
+  // each child with the last parent seen, the first repeat found under the
+  // smallest such parent is — after taking the smallest child — the smallest
+  // duplicate pair.
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    NodeId duplicate = kInvalidNode;
+    for (std::size_t i = child_offsets_[u]; i < child_offsets_[u + 1]; ++i) {
+      const NodeId c = children_[i];
+      if (scratch[c] == u) {
+        duplicate = std::min(duplicate, c);
       }
+      scratch[c] = u;
+    }
+    if (duplicate != kInvalidNode) {
+      return Status::InvalidArgument("duplicate edge " + std::to_string(u) +
+                                     " -> " + std::to_string(duplicate));
     }
   }
 
-  // Find sources; add a dummy root if needed.
+  // Find sources (the last one seen is the root when it is the only one);
+  // add a dummy root if needed.
   {
-    std::vector<std::size_t> in_degree(labels_.size(), 0);
-    for (const Edge& e : edges_) {
-      ++in_degree[e.child];
-    }
-    std::vector<NodeId> sources;
-    for (NodeId v = 0; v < labels_.size(); ++v) {
-      if (in_degree[v] == 0) {
-        sources.push_back(v);
+    std::size_t num_sources = 0;
+    for (NodeId v = 0; v < num_nodes_; ++v) {
+      if (parent_offsets_[v] == parent_offsets_[v + 1]) {
+        root_ = v;
+        ++num_sources;
       }
     }
-    if (sources.empty()) {
+    if (num_sources == 0) {
       return Status::InvalidArgument("graph has a cycle (no source node)");
     }
-    if (sources.size() == 1) {
-      root_ = sources[0];
-    } else if (add_dummy_root) {
-      labels_.push_back("<root>");
-      root_ = static_cast<NodeId>(labels_.size() - 1);
-      for (const NodeId s : sources) {
-        edges_.push_back(Edge{root_, s});
+    if (num_sources > 1) {
+      if (!add_dummy_root) {
+        return Status::InvalidArgument("graph has " +
+                                       std::to_string(num_sources) +
+                                       " roots and add_dummy_root is false");
       }
-    } else {
-      return Status::InvalidArgument("graph has " +
-                                     std::to_string(sources.size()) +
-                                     " roots and add_dummy_root is false");
+      const auto root = static_cast<NodeId>(num_nodes_);
+      for (NodeId v = 0; v < num_nodes_; ++v) {
+        if (parent_offsets_[v] == parent_offsets_[v + 1]) {
+          edges_.push_back(Edge{root, v});
+        }
+      }
+      AddNode("<root>");
+      root_ = root;
+      BuildCsr();
     }
   }
 
-  const std::size_t n = labels_.size();
-
-  // Build CSR adjacency (children and parents), preserving insertion order.
-  child_offsets_.assign(n + 1, 0);
-  parent_offsets_.assign(n + 1, 0);
-  for (const Edge& e : edges_) {
-    ++child_offsets_[e.parent + 1];
-    ++parent_offsets_[e.child + 1];
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    child_offsets_[v + 1] += child_offsets_[v];
-    parent_offsets_[v + 1] += parent_offsets_[v];
-  }
-  children_.resize(edges_.size());
-  parents_.resize(edges_.size());
-  {
-    std::vector<std::size_t> child_cursor(child_offsets_.begin(),
-                                          child_offsets_.end() - 1);
-    std::vector<std::size_t> parent_cursor(parent_offsets_.begin(),
-                                           parent_offsets_.end() - 1);
-    for (const Edge& e : edges_) {
-      children_[child_cursor[e.parent]++] = e.child;
-      parents_[parent_cursor[e.child]++] = e.parent;
-    }
-  }
+  const std::size_t n = num_nodes_;
 
   // CSR is usable from here on; roll the flag back if cycle detection fails.
   finalized_ = true;
 
-  // Kahn topological sort; detects cycles.
+  // Kahn topological sort, using topo_order_ itself as the FIFO queue and
+  // the scratch array as remaining in-degrees; detects cycles.
   topo_order_.clear();
   topo_order_.reserve(n);
-  {
-    std::vector<std::size_t> remaining(n);
-    std::queue<NodeId> ready;
-    for (NodeId v = 0; v < n; ++v) {
-      remaining[v] = InDegree(v);
-      if (remaining[v] == 0) {
-        ready.push(v);
+  for (NodeId v = 0; v < n; ++v) {
+    scratch[v] = static_cast<NodeId>(InDegree(v));
+    if (scratch[v] == 0) {
+      topo_order_.push_back(v);
+    }
+  }
+  for (std::size_t head = 0; head < topo_order_.size(); ++head) {
+    for (const NodeId c : Children(topo_order_[head])) {
+      if (--scratch[c] == 0) {
+        topo_order_.push_back(c);
       }
     }
-    while (!ready.empty()) {
-      const NodeId u = ready.front();
-      ready.pop();
-      topo_order_.push_back(u);
-      for (const NodeId c : Children(u)) {
-        if (--remaining[c] == 0) {
-          ready.push(c);
-        }
-      }
-    }
-    if (topo_order_.size() != n) {
-      finalized_ = false;
-      return Status::InvalidArgument("graph has a cycle");
-    }
+  }
+  if (topo_order_.size() != n) {
+    finalized_ = false;
+    return Status::InvalidArgument("graph has a cycle");
   }
 
   // Longest-path depth from the root, and summary statistics.
@@ -149,10 +163,8 @@ Status Digraph::Finalize(bool add_dummy_root) {
   for (const NodeId u : topo_order_) {
     for (const NodeId c : Children(u)) {
       depth_[c] = std::max(depth_[c], depth_[u] + 1);
+      height_ = std::max(height_, depth_[c]);
     }
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    height_ = std::max(height_, depth_[v]);
   }
 
   max_out_degree_ = 0;
@@ -163,11 +175,6 @@ Status Digraph::Finalize(bool add_dummy_root) {
       is_tree_ = false;
     }
   }
-  if (InDegree(root_) != 0) {
-    is_tree_ = false;
-  }
-
-  finalized_ = true;
   return Status::OK();
 }
 

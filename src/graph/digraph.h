@@ -6,6 +6,7 @@
 
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "util/common.h"
@@ -27,7 +28,8 @@ class Digraph {
   /// Adds `count` unlabeled nodes; returns the id of the first.
   NodeId AddNodes(std::size_t count);
 
-  /// Replaces the label of an existing node (construction phase only).
+  /// Replaces the label of an existing node (construction phase only); an
+  /// empty label clears it.
   void SetLabel(NodeId v, std::string label);
 
   /// Adds the directed edge parent -> child. Both ids must exist.
@@ -47,7 +49,7 @@ class Digraph {
   bool finalized() const { return finalized_; }
 
   /// Number of nodes (including any dummy root).
-  std::size_t NumNodes() const { return labels_.size(); }
+  std::size_t NumNodes() const { return num_nodes_; }
 
   /// Number of edges.
   std::size_t NumEdges() const { return edges_.size(); }
@@ -78,11 +80,8 @@ class Digraph {
   /// True iff v has no children.
   bool IsLeaf(NodeId v) const { return OutDegree(v) == 0; }
 
-  /// Label of v (may be empty).
-  const std::string& Label(NodeId v) const {
-    AIGS_DCHECK(v < NumNodes());
-    return labels_[v];
-  }
+  /// Label of v; empty when v has none.
+  const std::string& Label(NodeId v) const;
 
   /// Nodes in a topological order (root first).
   const std::vector<NodeId>& TopologicalOrder() const {
@@ -121,8 +120,13 @@ class Digraph {
     NodeId child;
   };
 
+  /// Builds both CSR adjacencies from edges_ (insertion order kept).
+  void BuildCsr();
+
   bool finalized_ = false;
-  std::vector<std::string> labels_;
+  std::size_t num_nodes_ = 0;
+  // Only labeled nodes are stored: catalog-scale graphs have almost none.
+  std::unordered_map<NodeId, std::string> labels_;
   std::vector<Edge> edges_;
 
   // CSR adjacency, filled by Finalize().

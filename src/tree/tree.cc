@@ -1,6 +1,5 @@
 #include "tree/tree.h"
 
-#include <bit>
 #include <utility>
 
 namespace aigs {
@@ -44,40 +43,15 @@ StatusOr<Tree> Tree::Build(const Digraph& g) {
     return Status::InvalidArgument("tree is not connected");
   }
 
-  // Binary-lifting table for LCA.
-  const int levels =
-      std::max(1, std::bit_width(n) > 0 ? static_cast<int>(std::bit_width(n))
-                                        : 1);
-  t.up_.assign(static_cast<std::size_t>(levels), std::vector<NodeId>(n));
-  for (NodeId v = 0; v < n; ++v) {
-    t.up_[0][v] = t.parent_[v] == kInvalidNode ? v : t.parent_[v];
-  }
-  for (int k = 1; k < levels; ++k) {
-    for (NodeId v = 0; v < n; ++v) {
-      t.up_[static_cast<std::size_t>(k)][v] =
-          t.up_[static_cast<std::size_t>(k - 1)]
-               [t.up_[static_cast<std::size_t>(k - 1)][v]];
-    }
-  }
   return t;
 }
 
 NodeId Tree::Lca(NodeId u, NodeId v) const {
-  if (InSubtree(u, v)) {
-    return u;
-  }
-  if (InSubtree(v, u)) {
-    return v;
-  }
-  // Lift u until its parent contains v.
   NodeId x = u;
-  for (std::size_t k = up_.size(); k-- > 0;) {
-    const NodeId candidate = up_[k][x];
-    if (!InSubtree(candidate, v)) {
-      x = candidate;
-    }
+  while (!InSubtree(x, v)) {
+    x = parent_[x];
   }
-  return up_[0][x];
+  return x;
 }
 
 }  // namespace aigs

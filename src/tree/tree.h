@@ -55,7 +55,8 @@ class Tree {
   /// Nodes in preorder (root first); every subtree is a contiguous range.
   const std::vector<NodeId>& Preorder() const { return order_; }
 
-  /// Lowest common ancestor of u and v (binary lifting, O(log n)).
+  /// Lowest common ancestor of u and v: walks u's parent chain up to the
+  /// first subtree containing v, O(depth).
   NodeId Lca(NodeId u, NodeId v) const;
 
  private:
@@ -66,8 +67,6 @@ class Tree {
   std::vector<std::uint32_t> tin_;
   std::vector<std::uint32_t> tout_;
   std::vector<NodeId> order_;
-  // up_[k][v] = 2^k-th ancestor of v (root maps to itself).
-  std::vector<std::vector<NodeId>> up_;
 };
 
 }  // namespace aigs

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <tuple>
+
 #include "data/synthetic_catalog.h"
+#include "util/rng.h"
 
 namespace aigs {
 namespace {
@@ -95,6 +101,69 @@ TEST(ZipfObjectCounts, DeterministicPerSeed) {
   EXPECT_EQ(a.weights(), b.weights());
 }
 
+// Reference largest-remainder Zipf assignment with a full sort of all
+// remainders (remainder descending, id ascending).
+std::vector<Weight> ZipfCountsByFullSort(std::size_t n, std::uint64_t total,
+                                         double s, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  rng.Shuffle(order);
+  std::vector<double> mass(n);
+  double mass_total = 0;
+  for (std::size_t r = 0; r < n; ++r) {
+    mass[order[r]] = std::pow(static_cast<double>(r + 1), -s);
+    mass_total += mass[order[r]];
+  }
+  std::vector<Weight> counts(n);
+  std::vector<std::pair<double, NodeId>> remainders(n);
+  std::uint64_t assigned = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const double exact = mass[v] / mass_total * static_cast<double>(total);
+    counts[v] = static_cast<Weight>(exact);
+    assigned += counts[v];
+    remainders[v] = {exact - static_cast<double>(counts[v]), v};
+  }
+  std::sort(remainders.begin(), remainders.end(),
+            [](const auto& a, const auto& b) {
+              return a.first != b.first ? a.first > b.first
+                                        : a.second < b.second;
+            });
+  for (std::uint64_t i = 0; i < total - assigned; ++i) {
+    ++counts[remainders[i].second];
+  }
+  return counts;
+}
+
+TEST(ZipfObjectCounts, MatchesFullSortReference) {
+  const std::tuple<std::size_t, std::uint64_t, double, std::uint64_t>
+      cases[] = {
+          {1000, 123456789, 1.0, 42},
+          {5000, 10'000'000, 1.0, 7},
+          {29240, 13'886'889, 1.0, 2039},  // Amazon at scale 1.0
+          {777, 777, 2.0, 11},             // leftover ~ n
+          {300, 1000, 0.5, 5},
+          {1000, 12345, 0.0, 3},  // s = 0: every remainder ties
+          {1000, 5000, 0.0, 1},   // s = 0, exact quotient: leftover == 0
+          {1, 17, 1.0, 9},        // single category: leftover == 0
+      };
+  for (const auto& [n, total, s, seed] : cases) {
+    const Distribution d = AssignZipfObjectCounts(n, total, s, seed);
+    EXPECT_EQ(d.weights(), ZipfCountsByFullSort(n, total, s, seed))
+        << "n=" << n << " total=" << total << " s=" << s << " seed=" << seed;
+    EXPECT_EQ(d.Total(), total);
+  }
+}
+
+TEST(ZipfObjectCounts, TiedRemaindersGoToSmallestIds) {
+  // s = 0 gives every category 12.345 objects: the 345 leftover objects go
+  // to ids 0..344 under the id-ascending tie break.
+  const Distribution d = AssignZipfObjectCounts(1000, 12345, 0.0, 3);
+  for (NodeId v = 0; v < 1000; ++v) {
+    EXPECT_EQ(d.WeightOf(v), v < 345 ? 13u : 12u) << v;
+  }
+}
+
 TEST(Datasets, ScaledDatasetsPreserveShape) {
   const Dataset amazon = MakeAmazonDataset(0.05);
   EXPECT_TRUE(amazon.hierarchy.is_tree());
@@ -105,6 +174,42 @@ TEST(Datasets, ScaledDatasetsPreserveShape) {
   EXPECT_FALSE(imagenet.hierarchy.is_tree());
   EXPECT_EQ(imagenet.hierarchy.Height(), 13);
   EXPECT_EQ(imagenet.real_distribution.Total(), imagenet.num_objects);
+}
+
+// FNV-1a over the CSR edge list (children in insertion order), the root
+// and the per-category object counts: any change to what the generators
+// emit — an edge, its order, a count — changes the digest.
+std::uint64_t CatalogDigest(const Dataset& d) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  const Digraph& g = d.hierarchy.graph();
+  mix(g.NumNodes());
+  mix(g.NumEdges());
+  mix(g.root());
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    for (const NodeId c : g.Children(u)) {
+      mix((static_cast<std::uint64_t>(u) << 32) | c);
+    }
+  }
+  for (const Weight w : d.real_distribution.weights()) {
+    mix(w);
+  }
+  return h;
+}
+
+// Golden digests of the shipped datasets: the catalogs every bench,
+// baseline and transcript is pinned to. A generator or graph-construction
+// change that alters any edge, edge order or object count fails here.
+TEST(Datasets, GoldenDigestsArePinned) {
+  EXPECT_EQ(CatalogDigest(MakeAmazonDataset(1.0)), 0x0196177E90B32B70ULL);
+  EXPECT_EQ(CatalogDigest(MakeAmazonDataset(0.05)), 0xAB9A5663B6414A1FULL);
+  EXPECT_EQ(CatalogDigest(MakeImageNetDataset(1.0)), 0x71FA9860E67C4372ULL);
+  EXPECT_EQ(CatalogDigest(MakeImageNetDataset(0.05)), 0x8373C771E8F0CA6CULL);
 }
 
 TEST(Datasets, DescribeMentionsKeyStatistics) {

@@ -59,6 +59,63 @@ TEST(Digraph, DuplicateEdgeRejected) {
   EXPECT_FALSE(g.Finalize().ok());
 }
 
+TEST(Digraph, DuplicateEdgeMessageNamesSmallestPair) {
+  Digraph g;
+  g.AddNodes(6);
+  g.AddEdge(2, 5);
+  g.AddEdge(2, 5);
+  g.AddEdge(1, 4);
+  g.AddEdge(1, 3);
+  g.AddEdge(1, 4);
+  g.AddEdge(1, 3);
+  g.AddEdge(0, 1);
+  g.AddEdge(0, 2);
+  const Status st = g.Finalize();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.message(), "duplicate edge 1 -> 3");
+}
+
+TEST(Digraph, FailedFinalizeLeavesGraphUnmutated) {
+  // Two sources (0 and 2) would get a dummy root, but the duplicate edge is
+  // rejected first and nothing is appended.
+  Digraph g;
+  g.AddNodes(4);
+  g.AddEdge(0, 1);
+  g.AddEdge(2, 3);
+  g.AddEdge(0, 1);
+  const Status st = g.Finalize(/*add_dummy_root=*/true);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.message(), "duplicate edge 0 -> 1");
+  EXPECT_FALSE(g.finalized());
+  EXPECT_EQ(g.NumNodes(), 4u);
+  EXPECT_EQ(g.NumEdges(), 3u);
+  // A retry reports the same error on the same graph.
+  EXPECT_EQ(g.Finalize().message(), "duplicate edge 0 -> 1");
+  EXPECT_EQ(g.NumNodes(), 4u);
+}
+
+TEST(Digraph, LabelsAreSparse) {
+  Digraph g;
+  const NodeId a = g.AddNode("a");
+  const NodeId first = g.AddNodes(3);
+  const NodeId b = g.AddNode();
+  g.SetLabel(first + 1, "middle");
+  g.SetLabel(a, "renamed");
+  g.SetLabel(b, "b");
+  g.SetLabel(b, "");  // clears
+  for (NodeId v = first; v < first + 3; ++v) {
+    g.AddEdge(a, v);
+  }
+  g.AddEdge(a, b);
+  ASSERT_TRUE(g.Finalize().ok());
+  EXPECT_EQ(g.NumNodes(), 5u);
+  EXPECT_EQ(g.Label(a), "renamed");
+  EXPECT_EQ(g.Label(first), "");
+  EXPECT_EQ(g.Label(first + 1), "middle");
+  EXPECT_EQ(g.Label(first + 2), "");
+  EXPECT_EQ(g.Label(b), "");
+}
+
 TEST(Digraph, CycleRejected) {
   Digraph g;
   g.AddNodes(4);

@@ -38,6 +38,28 @@ TEST(GraphIo, RoundTripPreservesLabels) {
   }
 }
 
+TEST(GraphIo, RoundTripPreservesSparseLabels) {
+  Digraph original;
+  original.AddNodes(5);
+  original.SetLabel(1, "one");
+  original.SetLabel(3, "three");
+  original.SetLabel(4, "four");
+  original.SetLabel(4, "");  // cleared again
+  for (NodeId v = 1; v < 5; ++v) {
+    original.AddEdge(0, v);
+  }
+  ASSERT_TRUE(original.Finalize().ok());
+  auto parsed = ParseHierarchy(SerializeHierarchy(original));
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->NumNodes(), original.NumNodes());
+  for (NodeId v = 0; v < original.NumNodes(); ++v) {
+    EXPECT_EQ(parsed->Label(v), original.Label(v)) << v;
+  }
+  EXPECT_EQ(parsed->Label(3), "three");
+  EXPECT_EQ(parsed->Label(4), "");
+  EXPECT_EQ(SerializeHierarchy(*parsed), SerializeHierarchy(original));
+}
+
 TEST(GraphIo, ParseRejectsMissingHeader) {
   EXPECT_FALSE(ParseHierarchy("e 0 1\n").ok());
 }

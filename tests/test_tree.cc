@@ -99,30 +99,47 @@ TEST(Tree, LcaBasics) {
   EXPECT_EQ(tree->Lca(4, 2), 0u);
 }
 
+// Walks u's ancestor chain into a set, then walks v upward.
+NodeId BruteLca(const Tree& tree, NodeId u, NodeId v) {
+  std::vector<bool> is_ancestor(tree.NumNodes(), false);
+  for (NodeId x = u; x != kInvalidNode; x = tree.Parent(x)) {
+    is_ancestor[x] = true;
+  }
+  for (NodeId x = v; x != kInvalidNode; x = tree.Parent(x)) {
+    if (is_ancestor[x]) {
+      return x;
+    }
+  }
+  return kInvalidNode;
+}
+
 TEST(Tree, LcaMatchesBruteForceOnRandomTrees) {
   Rng rng(5);
   const Digraph g = RandomTree(70, rng);
   auto tree = Tree::Build(g);
   ASSERT_TRUE(tree.ok());
-  auto brute_lca = [&](NodeId u, NodeId v) {
-    // Walk u's ancestor chain into a set, then walk v upward.
-    std::vector<bool> is_ancestor(g.NumNodes(), false);
-    for (NodeId x = u; x != kInvalidNode; x = tree->Parent(x)) {
-      is_ancestor[x] = true;
-    }
-    for (NodeId x = v; x != kInvalidNode; x = tree->Parent(x)) {
-      if (is_ancestor[x]) {
-        return x;
-      }
-    }
-    return kInvalidNode;
-  };
   Rng pick(6);
   for (int i = 0; i < 500; ++i) {
     const NodeId u = static_cast<NodeId>(pick.UniformInt(g.NumNodes()));
     const NodeId v = static_cast<NodeId>(pick.UniformInt(g.NumNodes()));
-    EXPECT_EQ(tree->Lca(u, v), brute_lca(u, v)) << u << " " << v;
+    EXPECT_EQ(tree->Lca(u, v), BruteLca(*tree, u, v)) << u << " " << v;
   }
+}
+
+TEST(Tree, LcaMatchesBruteForceOnLongPath) {
+  // Deep chain: the parent walk climbs up to ~1,200 levels.
+  const Digraph g = PathGraph(1200);
+  auto tree = Tree::Build(g);
+  ASSERT_TRUE(tree.ok());
+  Rng pick(8);
+  for (int i = 0; i < 300; ++i) {
+    const NodeId u = static_cast<NodeId>(pick.UniformInt(g.NumNodes()));
+    const NodeId v = static_cast<NodeId>(pick.UniformInt(g.NumNodes()));
+    EXPECT_EQ(tree->Lca(u, v), BruteLca(*tree, u, v)) << u << " " << v;
+  }
+  EXPECT_EQ(tree->Lca(1199, 0), 0u);
+  EXPECT_EQ(tree->Lca(0, 1199), 0u);
+  EXPECT_EQ(tree->Lca(1199, 1198), 1198u);
 }
 
 TEST(Tree, DeepChainNoStackOverflow) {
