@@ -20,6 +20,7 @@
 #include "eval/runner.h"
 #include "eval/runtime_bench.h"
 #include "graph/generators.h"
+#include "graph/traversal.h"
 #include "net/loadgen.h"
 #include "net/server.h"
 #include "net/shard_router.h"
@@ -2553,7 +2554,7 @@ Status SuiteBigcatalog(SuiteContext& ctx) {
   return Status::OK();
 }
 
-// ---- kernels: SIMD dispatch + parallel closure build (PR 10) ---------------
+// ---- kernels: SIMD dispatch + closure builds --------------------------------
 
 /// Word-array shapes the micro rows sweep: dense random bits, ~1 bit/word
 /// sparse, and interval-heavy (long all-ones / all-zeros stretches — what
@@ -2778,39 +2779,52 @@ Status KernelsMicro(SuiteContext& ctx) {
   return Status::OK();
 }
 
-/// (b) Parallel closure build at catalog scale: a serial and an 8-way
-/// build of the same DAG must produce byte-identical compressed encodings
-/// (always asserted), and the parallel build must be >=3x faster when the
-/// machine can actually show it (optimized, unsanitized, full scale, >=8
-/// cores). A smaller dense-closure pair rides along for the dense path.
-Status KernelsParallelBuild(SuiteContext& ctx) {
+/// (b) Closure builds at catalog scale. The compressed build is checked for
+/// content: at smoke scale (100k nodes) its encoding digest must equal the
+/// golden one pinned in tests/test_parallel_build.cc, and at 1M nodes a
+/// seeded sample of rows must match BFS. The 1M build must take <= 350 ms
+/// (median of 3) on an optimized, unsanitized binary, at any core count. A
+/// smaller serial-vs-8-thread dense-closure pair rides along for the dense
+/// path, whose rows must be bit-identical.
+Status KernelsClosureBuilds(SuiteContext& ctx) {
   const std::size_t n = ctx.smoke ? 100'000 : 1'000'000;
-  Digraph g = GenerateCatalogDag(BigCatalogParams(n));
+  const Digraph g = GenerateCatalogDag(BigCatalogParams(n));
 
-  WallTimer serial_timer;
-  CompressedClosure::BuildOptions serial_options;
-  serial_options.threads = 1;
-  const CompressedClosure serial(g, serial_options);
-  const double serial_ms = serial_timer.ElapsedMillis();
-
-  WallTimer parallel_timer;
-  CompressedClosure::BuildOptions parallel_options;
-  parallel_options.threads = 8;
-  const CompressedClosure parallel(g, parallel_options);
-  const double parallel_ms = parallel_timer.ElapsedMillis();
-
-  if (!serial.IdenticalEncoding(parallel)) {
-    return Status::Internal(
-        "parallel compressed build is not byte-identical to the serial "
-        "build at " + FormatWithCommas(n) + " nodes");
+  std::vector<double> build_ms;
+  std::optional<CompressedClosure> compressed;
+  for (int rep = 0; rep < (ctx.smoke ? 1 : 3); ++rep) {
+    compressed.reset();
+    WallTimer timer;
+    compressed.emplace(g);
+    build_ms.push_back(timer.ElapsedMillis());
   }
-  const double speedup = serial_ms / parallel_ms;
+  std::sort(build_ms.begin(), build_ms.end());
+  const double compressed_ms = build_ms[build_ms.size() / 2];
+  if (ctx.smoke) {
+    constexpr std::uint64_t kGoldenDigest = 0x577A912ED164CEB7ULL;
+    if (compressed->EncodingDigest() != kGoldenDigest) {
+      return Status::Internal(
+          "compressed encoding of the " + FormatWithCommas(n) +
+          "-node catalog differs from its golden digest");
+    }
+  } else {
+    Rng probe(2911);
+    for (int i = 0; i < 64; ++i) {
+      const NodeId u = static_cast<NodeId>(probe.UniformInt(n));
+      const std::vector<NodeId> reachable = CollectReachable(g, u);
+      bool match = compressed->RowCount(u) == reachable.size();
+      for (const NodeId v : reachable) {
+        match = match && compressed->Reaches(u, v);
+      }
+      if (!match) {
+        return Status::Internal("compressed row " + std::to_string(u) +
+                                " differs from BFS at " +
+                                FormatWithCommas(n) + " nodes");
+      }
+    }
+  }
   PushWallRow(ctx, "kernels/build/compressed/serial_ms", "synthetic", n,
-              serial_ms);
-  PushWallRow(ctx, "kernels/build/compressed/parallel8_ms", "synthetic", n,
-              parallel_ms);
-  PushWallRow(ctx, "kernels/build/compressed/speedup", "synthetic", n,
-              speedup);
+              compressed_ms);
 
   // Dense pair at a size where O(n²/8) rows are still cheap.
   const std::size_t dense_n = 8'192;
@@ -2840,17 +2854,14 @@ Status KernelsParallelBuild(SuiteContext& ctx) {
   PushWallRow(ctx, "kernels/build/dense/parallel8_ms", "synthetic", dense_n,
               dense_parallel_ms);
 
-  AsciiTable table({"Build", "#nodes", "Serial ms", "8-thread ms",
-                    "Speedup"});
+  AsciiTable table({"Build", "#nodes", "Serial ms", "8-thread ms"});
   table.AddRow({"compressed", FormatWithCommas(n),
-                FormatDouble(serial_ms, 0), FormatDouble(parallel_ms, 0),
-                FormatDouble(speedup, 2) + "x"});
+                FormatDouble(compressed_ms, 0), "-"});
   table.AddRow({"dense", FormatWithCommas(dense_n),
                 FormatDouble(dense_serial_ms, 0),
-                FormatDouble(dense_parallel_ms, 0),
-                FormatDouble(dense_serial_ms / dense_parallel_ms, 2) + "x"});
-  std::printf("[parallel closure builds: byte-identical encodings "
-              "verified]\n%s\n",
+                FormatDouble(dense_parallel_ms, 0)});
+  std::printf("[closure builds: compressed %s, dense rows bit-identical]\n%s\n",
+              ctx.smoke ? "digest pinned" : "rows match BFS",
               table.ToString().c_str());
 
 #ifdef NDEBUG
@@ -2858,38 +2869,29 @@ Status KernelsParallelBuild(SuiteContext& ctx) {
 #else
   constexpr bool kOptimized = false;
 #endif
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (!kOptimized || SanitizedBuild() || ctx.smoke || cores < 8) {
-    std::printf("parallel build gate skipped (%s, %u core(s)): the 3x "
-                "target is defined for an optimized binary at 1M nodes on "
-                ">=8 cores\n\n",
+  if (!kOptimized || SanitizedBuild() || ctx.smoke) {
+    std::printf("compressed build gate skipped (%s): the 350 ms target is "
+                "defined for an optimized binary at 1M nodes\n\n",
                 !kOptimized ? "debug build"
-                            : (SanitizedBuild()
-                                   ? "sanitized build"
-                                   : (ctx.smoke ? "smoke scale"
-                                                : "too few cores")),
-                cores);
+                            : (SanitizedBuild() ? "sanitized build"
+                                                : "smoke scale"));
     return Status::OK();
   }
-  if (speedup < 3.0) {
+  if (compressed_ms > 350.0) {
     return Status::Internal(
-        "parallel build SLO violated: 8-thread compressed build is " +
-        FormatDouble(speedup, 2) + "x serial at " + FormatWithCommas(n) +
-        " nodes, below the 3x target");
+        "compressed build SLO violated: " + FormatDouble(compressed_ms, 0) +
+        " ms at " + FormatWithCommas(n) + " nodes, above the 350 ms target");
   }
-  std::printf("8-thread compressed build >=3x serial at %s nodes (%sx): "
-              "OK\n\n",
+  std::printf("compressed build <= 350 ms at %s nodes (%s ms): OK\n\n",
               FormatWithCommas(n).c_str(),
-              FormatDouble(speedup, 2).c_str());
+              FormatDouble(compressed_ms, 0).c_str());
   return Status::OK();
 }
 
 Status SuiteKernels(SuiteContext& ctx) {
-  PrintConfig(ctx,
-              "kernels: SIMD dispatch micro rows, parallel closure builds "
-              "(PR 10)");
+  PrintConfig(ctx, "kernels: SIMD dispatch micro rows, closure builds");
   AIGS_RETURN_NOT_OK(KernelsMicro(ctx));
-  AIGS_RETURN_NOT_OK(KernelsParallelBuild(ctx));
+  AIGS_RETURN_NOT_OK(KernelsClosureBuilds(ctx));
   return Status::OK();
 }
 
@@ -2947,7 +2949,7 @@ const std::vector<Suite>& AllSuites() {
        "compressed reachability: storage identity, million-node gate (PR 9)",
        Wrap(SuiteBigcatalog)},
       {"kernels",
-       "SIMD kernel dispatch micro rows, parallel closure builds (PR 10)",
+       "SIMD kernel dispatch micro rows, closure builds",
        Wrap(SuiteKernels)},
   };
   return *suites;

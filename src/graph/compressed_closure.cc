@@ -2,35 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <thread>
 #include <utility>
 
-#include "util/thread_pool.h"
+#include "util/kernels.h"
 
 namespace aigs {
 
-namespace {
-
-// Number of 0→1 transitions across the chunk's words (runs of set bits).
-// `carry` threads bit 63 of the previous word so a run spanning a word
-// boundary counts once.
-std::size_t CountRuns(std::span<const std::uint64_t> chunk_words) {
-  std::size_t runs = 0;
-  std::uint64_t carry = 0;
-  for (const std::uint64_t word : chunk_words) {
-    const std::uint64_t starts = word & ~((word << 1) | carry);
-    runs += static_cast<std::size_t>(std::popcount(starts));
-    carry = word >> 63;
-  }
-  return runs;
-}
-
-}  // namespace
-
-CompressedClosure::CompressedClosure(const Digraph& g,
-                                     const BuildOptions& options) {
+CompressedClosure::CompressedClosure(const Digraph& g) {
   AIGS_CHECK(g.finalized());
-  BuildFromGraph(g, options);
+  BuildFromGraph(g);
 }
 
 CompressedClosure::CompressedClosure(const std::vector<DynamicBitset>& rows) {
@@ -54,13 +34,11 @@ CompressedClosure::CompressedClosure(const std::vector<DynamicBitset>& rows) {
     }
     std::size_t hi = lo;
     rows[v].ForEachSetBit([&hi](std::size_t p) { hi = p; });
-    rows_[v] = EncodeRowTo(RowSink{&chunk_refs_, &word_pool_, &u16_pool_},
-                           rows[v], lo, hi, rows[v].CountInRange(lo, hi + 1));
+    rows_[v] = EncodeScratchRow(rows[v], lo, hi);
   }
 }
 
-void CompressedClosure::BuildFromGraph(const Digraph& g,
-                                       const BuildOptions& options) {
+void CompressedClosure::BuildFromGraph(const Digraph& g) {
   n_ = g.NumNodes();
   AIGS_CHECK(n_ > 0 && n_ <= kMaxNodes);
   words_ = (n_ + 63) / 64;
@@ -116,299 +94,286 @@ void CompressedClosure::BuildFromGraph(const Digraph& g,
     pure[u] = p;
   }
 
-  // 3. Reverse-topological encode. Pure rows become intervals with no
-  // materialization at all either way; the serial path unions each impure
-  // row into ONE dense scratch row (children's rows expand from their
-  // already-compressed form), encodes, and clears again — peak memory is
-  // the compressed output plus a single O(n/8) scratch row. The parallel
-  // path shards dependency levels of impure rows across workers and
-  // concatenates afterwards (see BuildImpureRowsParallel); its encoded
-  // bytes are identical, for one scratch row per shard extra.
+  // 3. Reverse-topological encode. Pure rows become intervals outright.
+  // An impure row R(u) = {pos(u)} ∪ ⋃ R(c) is merged from its children's
+  // interval lists when every child has one (interval rows are one-interval
+  // lists) and their summed length fits in the row's word span — then the
+  // merge is cheaper than ORing and rescanning that many words. Otherwise
+  // the row is ORed into the dense scratch row, encoded, and cleared again.
   rows_.resize(n_);
-  // Build-time touched range [lo, hi] of each finished row, so parents know
-  // how far their union reaches without scanning.
+  // Touched range [lo, hi] of each finished row, so parents know how far
+  // their union reaches without scanning.
   std::vector<std::pair<std::uint32_t, std::uint32_t>> bounds(n_);
-
-  std::size_t workers = 1;
-  if (options.pool != nullptr) {
-    workers = options.pool->num_threads();
-  } else if (options.threads > 0) {
-    workers = static_cast<std::size_t>(options.threads);
-  } else {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  // Small catalogs stay serial: the streaming loop is sub-millisecond there
-  // and per-shard scratch rows plus the level barriers would cost more than
-  // they save.
-  constexpr std::size_t kParallelMinNodes = std::size_t{1} << 13;
-  if (workers > 1 && n_ >= kParallelMinNodes) {
-    for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-      const NodeId u = *it;
-      if (pure[u]) {
-        const std::uint32_t len = subtree_end[u] - pos_[u];
-        rows_[u] = RowRef{pos_[u], len | kIntervalFlag, len};
-        bounds[u] = {pos_[u], subtree_end[u] - 1};
-      }
-    }
-    ThreadPool& pool =
-        options.pool != nullptr ? *options.pool : ThreadPool::Default();
-    BuildImpureRowsParallel(g, pure, bounds, pool, workers);
-    return;
-  }
-
+  // Merged rows keep their coalesced interval list in `lists`, for their
+  // parents to merge in turn.
+  constexpr std::uint32_t kNoList = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> list_begin(n_, kNoList);
+  std::vector<std::uint32_t> list_len(n_, 0);
+  std::vector<Interval> lists;
+  std::vector<Interval> pending;  // one row's uncoalesced child intervals
+  std::vector<NodeId> by_count;   // one scratch row's children, widest first
   DynamicBitset scratch(n_);
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NodeId u = *it;
     if (pure[u]) {
-      const std::uint32_t len = subtree_end[u] - pos_[u];
-      rows_[u] = RowRef{pos_[u], len | kIntervalFlag, len};
+      rows_[u] = IntervalRow(pos_[u], subtree_end[u] - pos_[u]);
       bounds[u] = {pos_[u], subtree_end[u] - 1};
       continue;
     }
     std::size_t lo = pos_[u];
     std::size_t hi = pos_[u];
-    scratch.Set(pos_[u]);
+    std::size_t listed = 1;  // {pos(u)} itself
+    bool mergeable = true;
     for (const NodeId c : g.Children(u)) {
-      ExpandRowInto(c, scratch);
       lo = std::min<std::size_t>(lo, bounds[c].first);
       hi = std::max<std::size_t>(hi, bounds[c].second);
+      if (rows_[c].extent & kIntervalFlag) {
+        ++listed;
+      } else if (list_begin[c] == kNoList) {
+        mergeable = false;
+      } else {
+        listed += list_len[c];
+      }
     }
-    rows_[u] = EncodeRowTo(RowSink{&chunk_refs_, &word_pool_, &u16_pool_},
-                           scratch, lo, hi, scratch.CountInRange(lo, hi + 1));
     bounds[u] = {static_cast<std::uint32_t>(lo),
                  static_cast<std::uint32_t>(hi)};
-    scratch.ClearRange(lo, hi + 1);
-  }
-}
-
-void CompressedClosure::BuildImpureRowsParallel(
-    const Digraph& g, const std::vector<bool>& pure,
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>& bounds,
-    ThreadPool& pool, std::size_t workers) {
-  const std::vector<NodeId>& topo = g.TopologicalOrder();
-  constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> slot(n_, kNoSlot);
-  std::vector<NodeId> impure;  // reverse-topo: children before parents
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    if (!pure[*it]) {
-      slot[*it] = static_cast<std::uint32_t>(impure.size());
-      impure.push_back(*it);
-    }
-  }
-  if (impure.empty()) {
-    return;
-  }
-
-  // Dependency levels among impure rows only: pure children expand straight
-  // from their interval RowRef, so only impure children order the build.
-  // Rows within one level have no edges between them and build in parallel.
-  std::vector<std::uint32_t> level(impure.size(), 0);
-  std::uint32_t num_levels = 1;
-  for (const NodeId u : impure) {
-    std::uint32_t lv = 0;
-    for (const NodeId c : g.Children(u)) {
-      if (slot[c] != kNoSlot) {
-        lv = std::max(lv, level[slot[c]] + 1);
-      }
-    }
-    level[slot[u]] = lv;
-    num_levels = std::max(num_levels, lv + 1);
-  }
-  // Bucket by level, preserving reverse-topo order inside each level.
-  std::vector<std::uint32_t> level_begin(num_levels + 1, 0);
-  for (const std::uint32_t lv : level) {
-    ++level_begin[lv + 1];
-  }
-  for (std::uint32_t lv = 0; lv < num_levels; ++lv) {
-    level_begin[lv + 1] += level_begin[lv];
-  }
-  std::vector<NodeId> by_level(impure.size());
-  {
-    std::vector<std::uint32_t> cursor(level_begin.begin(),
-                                      level_begin.end() - 1);
-    for (const NodeId u : impure) {
-      by_level[cursor[level[slot[u]]]++] = u;
-    }
-  }
-
-  // Each impure row encodes into its own detached pools; each shard reuses
-  // one dense scratch row across its slice of a level.
-  std::vector<RowEncoding> enc(impure.size());
-  const std::size_t shard_cap = std::min<std::size_t>(workers, 64);
-  std::vector<DynamicBitset> scratches(shard_cap, DynamicBitset(n_));
-
-  for (std::uint32_t lv = 0; lv < num_levels; ++lv) {
-    const std::size_t begin = level_begin[lv];
-    const std::size_t len = level_begin[lv + 1] - begin;
-    if (len == 0) {
-      continue;
-    }
-    const std::size_t shards = std::min(shard_cap, len);
-    const std::size_t per_shard = (len + shards - 1) / shards;
-    pool.RunShards(shards, [&](std::size_t s) {
-      DynamicBitset& scratch = scratches[s];
-      const std::size_t sb = begin + s * per_shard;
-      const std::size_t se = std::min(begin + len, sb + per_shard);
-      for (std::size_t i = sb; i < se; ++i) {
-        const NodeId u = by_level[i];
-        std::size_t lo = pos_[u];
-        std::size_t hi = pos_[u];
-        scratch.Set(pos_[u]);
-        for (const NodeId c : g.Children(u)) {
-          if (slot[c] == kNoSlot) {
-            // Pure child: interval row, no pools involved.
-            ExpandEncodedInto(rows_[c], nullptr, nullptr, nullptr, scratch);
-          } else {
-            const RowEncoding& ce = enc[slot[c]];
-            ExpandEncodedInto(ce.row, ce.refs.data(), ce.words.data(),
-                              ce.u16.data(), scratch);
-          }
-          lo = std::min<std::size_t>(lo, bounds[c].first);
-          hi = std::max<std::size_t>(hi, bounds[c].second);
+    if (!mergeable || listed > hi / 64 - lo / 64 + 1) {
+      // Widest children first: a child whose position is already set is
+      // reached by an earlier one, so its row adds nothing to the union.
+      by_count.assign(g.Children(u).begin(), g.Children(u).end());
+      std::sort(by_count.begin(), by_count.end(),
+                [this](NodeId a, NodeId b) {
+                  return rows_[a].count > rows_[b].count;
+                });
+      scratch.Set(pos_[u]);
+      for (const NodeId c : by_count) {
+        if (!scratch.Test(pos_[c])) {
+          ExpandRowInto(c, scratch);
         }
-        RowEncoding& mine = enc[slot[u]];
-        mine.row =
-            EncodeRowTo(RowSink{&mine.refs, &mine.words, &mine.u16}, scratch,
-                        lo, hi, scratch.CountInRange(lo, hi + 1));
-        bounds[u] = {static_cast<std::uint32_t>(lo),
-                     static_cast<std::uint32_t>(hi)};
-        scratch.ClearRange(lo, hi + 1);
       }
-    });
-  }
-
-  // Assembly: rebase every per-row encoding into the shared pools in
-  // reverse-topological order — exactly the serial append order, so the
-  // pools and payload offsets come out byte-identical to a serial build.
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const NodeId u = *it;
-    if (slot[u] == kNoSlot) {
+      rows_[u] = EncodeScratchRow(scratch, lo, hi);
+      scratch.ClearRange(lo, hi + 1);
+      ++scratch_rows_;
       continue;
     }
-    RowEncoding& e = enc[slot[u]];
-    if (e.row.extent & kIntervalFlag) {
-      rows_[u] = e.row;
-      e = RowEncoding{};
-      continue;
+    pending.clear();
+    pending.push_back({pos_[u], pos_[u] + 1});
+    for (const NodeId c : g.Children(u)) {
+      const RowRef& row = rows_[c];
+      if (row.extent & kIntervalFlag) {
+        pending.push_back({row.first, row.first + row.count});
+      } else {
+        pending.insert(pending.end(), lists.begin() + list_begin[c],
+                       lists.begin() + list_begin[c] + list_len[c]);
+      }
     }
-    AIGS_CHECK(chunk_refs_.size() <= 0xFFFFFFFFu);
-    // Every payload offset this row lands at must fit the u32 ChunkRef
-    // field — the same bound the serial build checks per chunk.
-    AIGS_CHECK(word_pool_.size() + e.words.size() <= 0x100000000ull);
-    AIGS_CHECK(u16_pool_.size() + e.u16.size() <= 0x100000000ull);
-    const std::uint32_t word_base = static_cast<std::uint32_t>(word_pool_.size());
-    const std::uint32_t u16_base = static_cast<std::uint32_t>(u16_pool_.size());
-    rows_[u] = RowRef{static_cast<std::uint32_t>(chunk_refs_.size()),
-                      e.row.extent, e.row.count};
-    for (ChunkRef ref : e.refs) {
-      ref.payload += ChunkKindOf(ref) == kDenseChunk ? word_base : u16_base;
-      chunk_refs_.push_back(ref);
+    std::sort(pending.begin(), pending.end(),
+              [](const Interval& a, const Interval& b) {
+                return a.start < b.start;
+              });
+    const std::size_t begin = lists.size();
+    lists.push_back(pending.front());
+    for (const Interval& iv : pending) {
+      if (iv.start <= lists.back().end) {
+        lists.back().end = std::max(lists.back().end, iv.end);
+      } else {
+        lists.push_back(iv);
+      }
     }
-    word_pool_.insert(word_pool_.end(), e.words.begin(), e.words.end());
-    u16_pool_.insert(u16_pool_.end(), e.u16.begin(), e.u16.end());
-    e = RowEncoding{};  // release the per-row buffers eagerly
+    AIGS_CHECK(lists.size() <= kNoList);
+    list_begin[u] = static_cast<std::uint32_t>(begin);
+    list_len[u] = static_cast<std::uint32_t>(lists.size() - begin);
+    rows_[u] = EncodeIntervals(
+        std::span<const Interval>(lists.data() + begin, list_len[u]));
+    ++merged_rows_;
   }
 }
 
-CompressedClosure::RowRef CompressedClosure::EncodeRowTo(
-    const RowSink& sink, const DynamicBitset& scratch, std::size_t lo,
-    std::size_t hi, std::size_t count) const {
-  AIGS_DCHECK(count > 0 && lo <= hi && hi < n_);
-  std::vector<ChunkRef>& chunk_refs = *sink.refs;
-  std::vector<std::uint64_t>& word_pool = *sink.words;
-  std::vector<std::uint16_t>& u16_pool = *sink.u16;
+CompressedClosure::ChunkRef CompressedClosure::BeginChunk(
+    std::size_t ck, std::size_t bits, std::size_t runs,
+    std::size_t chunk_words) const {
+  const std::size_t dense_cost = chunk_words * 8;
+  const std::size_t delta_cost = 2 * bits;
+  const std::size_t run_cost = 4 * runs;
+  ChunkRef ref;
+  ref.chunk = static_cast<std::uint16_t>(ck);
+  if (run_cost <= delta_cost && run_cost <= dense_cost) {
+    AIGS_CHECK(u16_pool_.size() <= 0xFFFFFFFFu);
+    ref.payload = static_cast<std::uint32_t>(u16_pool_.size());
+    ref.meta = static_cast<std::uint16_t>(kRunChunk | (runs << 2));
+  } else if (delta_cost <= dense_cost) {
+    AIGS_CHECK(u16_pool_.size() <= 0xFFFFFFFFu);
+    ref.payload = static_cast<std::uint32_t>(u16_pool_.size());
+    ref.meta = static_cast<std::uint16_t>(kDeltaChunk | (bits << 2));
+  } else {
+    AIGS_CHECK(word_pool_.size() <= 0xFFFFFFFFu);
+    ref.payload = static_cast<std::uint32_t>(word_pool_.size());
+    ref.meta = static_cast<std::uint16_t>(kDenseChunk | (chunk_words << 2));
+  }
+  return ref;
+}
+
+CompressedClosure::RowRef CompressedClosure::EncodeIntervals(
+    std::span<const Interval> list) {
+  AIGS_DCHECK(!list.empty());
+  std::size_t count = 0;
+  for (const Interval& iv : list) {
+    count += iv.end - iv.start;
+  }
+  if (list.size() == 1) {
+    return IntervalRow(list[0].start, static_cast<std::uint32_t>(count));
+  }
+  const std::size_t first_ref = chunk_refs_.size();
+  // Invariant: list[i] overlaps chunk ck. Intervals [i, j) overlap it, the
+  // last possibly continuing into the next chunk. Each clipped interval is
+  // one maximal run of the chunk, since the list is coalesced.
+  std::size_t i = 0;
+  std::size_t ck = list[0].start / kChunkBits;
+  while (i < list.size()) {
+    const std::size_t base = ck * kChunkBits;
+    const std::size_t limit = base + kChunkBits;
+    std::size_t bits = 0;
+    std::size_t j = i;
+    for (; j < list.size() && list[j].start < limit; ++j) {
+      bits += std::min<std::size_t>(list[j].end, limit) -
+              std::max<std::size_t>(list[j].start, base);
+    }
+    const std::size_t chunk_words =
+        std::min(kChunkWords, words_ - ck * kChunkWords);
+    const ChunkRef ref = BeginChunk(ck, bits, j - i, chunk_words);
+    if (ChunkKindOf(ref) == kDenseChunk) {
+      word_pool_.resize(word_pool_.size() + chunk_words, 0);
+    }
+    for (std::size_t k = i; k < j; ++k) {
+      const std::size_t s = std::max<std::size_t>(list[k].start, base) - base;
+      const std::size_t e = std::min<std::size_t>(list[k].end, limit) - base;
+      switch (ChunkKindOf(ref)) {
+        case kRunChunk:
+          u16_pool_.push_back(static_cast<std::uint16_t>(s));
+          u16_pool_.push_back(static_cast<std::uint16_t>(e - s));
+          break;
+        case kDeltaChunk:
+          for (std::size_t p = s; p < e; ++p) {
+            u16_pool_.push_back(static_cast<std::uint16_t>(p));
+          }
+          break;
+        case kDenseChunk:
+          for (std::size_t p = s; p < e;) {
+            const std::size_t w = p >> 6;
+            const std::size_t stop = std::min(e, (w + 1) << 6);
+            const std::size_t len = stop - p;
+            const std::uint64_t ones =
+                len == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << len) - 1;
+            word_pool_[ref.payload + w] |= ones << (p & 63);
+            p = stop;
+          }
+          break;
+      }
+    }
+    chunk_refs_.push_back(ref);
+    if (list[j - 1].end > limit) {
+      i = j - 1;  // continues into the next chunk
+      ++ck;
+    } else {
+      i = j;
+      if (i < list.size()) {
+        ck = list[i].start / kChunkBits;
+      }
+    }
+  }
+  AIGS_CHECK(chunk_refs_.size() - first_ref <= 0xFFFFFFFFu);
+  return RowRef{static_cast<std::uint32_t>(first_ref),
+                static_cast<std::uint32_t>(chunk_refs_.size() - first_ref),
+                static_cast<std::uint32_t>(count)};
+}
+
+CompressedClosure::RowRef CompressedClosure::EncodeScratchRow(
+    const DynamicBitset& scratch, std::size_t lo, std::size_t hi) {
+  AIGS_DCHECK(lo <= hi && hi < n_);
+  const kernels::Ops& ops = kernels::Active();
+  const std::uint64_t* words = scratch.words().data();
+  const std::size_t count =
+      ops.popcount_words(words + lo / 64, hi / 64 - lo / 64 + 1);
+  AIGS_DCHECK(count > 0);
   if (count == hi - lo + 1) {
     // Contiguous — store as an interval even when u is not tree-pure (the
     // root of a DAG, for instance, always reaches [0, n)).
-    return RowRef{static_cast<std::uint32_t>(lo),
-                  static_cast<std::uint32_t>(count) | kIntervalFlag,
-                  static_cast<std::uint32_t>(count)};
+    return IntervalRow(static_cast<std::uint32_t>(lo),
+                       static_cast<std::uint32_t>(count));
   }
-  const std::size_t first_ref = chunk_refs.size();
-  const std::span<const std::uint64_t> all_words(scratch.words());
+  const std::size_t first_ref = chunk_refs_.size();
   for (std::size_t ck = lo / kChunkBits; ck <= hi / kChunkBits; ++ck) {
-    const std::size_t wbegin = ck * kChunkWords;
-    const std::size_t wend = std::min(wbegin + kChunkWords, words_);
-    const std::span<const std::uint64_t> chunk_words =
-        all_words.subspan(wbegin, wend - wbegin);
-    std::size_t bits = 0;
-    for (const std::uint64_t word : chunk_words) {
-      bits += static_cast<std::size_t>(std::popcount(word));
-    }
+    const std::uint64_t* chunk = words + ck * kChunkWords;
+    const std::size_t chunk_words =
+        std::min(kChunkWords, words_ - ck * kChunkWords);
+    const std::size_t bits = ops.popcount_words(chunk, chunk_words);
     if (bits == 0) {
       continue;
     }
-    const std::size_t runs = CountRuns(chunk_words);
-    const std::size_t dense_cost = chunk_words.size() * 8;
-    const std::size_t delta_cost = 2 * bits;
-    const std::size_t run_cost = 4 * runs;
-
-    ChunkRef ref;
-    ref.chunk = static_cast<std::uint16_t>(ck);
-    if (run_cost <= delta_cost && run_cost <= dense_cost) {
-      AIGS_CHECK(u16_pool.size() <= 0xFFFFFFFFu);
-      ref.payload = static_cast<std::uint32_t>(u16_pool.size());
-      ref.meta = static_cast<std::uint16_t>(kRunChunk | (runs << 2));
-      // Extract maximal runs of set bits, merging across word boundaries.
-      std::size_t run_start = 0;
-      std::size_t run_len = 0;
-      std::size_t emitted = 0;
-      for (std::size_t w = 0; w < chunk_words.size(); ++w) {
-        std::uint64_t word = chunk_words[w];
-        while (word != 0) {
-          const std::size_t start =
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-          const std::uint64_t shifted = word >> (start & 63);
-          const std::size_t len =
-              static_cast<std::size_t>(std::countr_one(shifted));
-          if (run_len > 0 && run_start + run_len == start) {
-            run_len += len;  // continues the previous word's trailing run
-          } else {
-            if (run_len > 0) {
-              u16_pool.push_back(static_cast<std::uint16_t>(run_start));
-              u16_pool.push_back(static_cast<std::uint16_t>(run_len));
-              ++emitted;
-            }
-            run_start = start;
-            run_len = len;
-          }
-          if ((start & 63) + len >= 64) {
-            word = 0;
-          } else {
-            word &= ~std::uint64_t{0} << ((start & 63) + len);
-          }
-        }
-      }
-      if (run_len > 0) {
-        u16_pool.push_back(static_cast<std::uint16_t>(run_start));
-        u16_pool.push_back(static_cast<std::uint16_t>(run_len));
-        ++emitted;
-      }
-      AIGS_DCHECK(emitted == runs);
-    } else if (delta_cost <= dense_cost) {
-      AIGS_CHECK(u16_pool.size() <= 0xFFFFFFFFu);
-      ref.payload = static_cast<std::uint32_t>(u16_pool.size());
-      ref.meta = static_cast<std::uint16_t>(kDeltaChunk | (bits << 2));
-      for (std::size_t w = 0; w < chunk_words.size(); ++w) {
-        std::uint64_t word = chunk_words[w];
-        while (word != 0) {
-          u16_pool.push_back(static_cast<std::uint16_t>(
-              (w << 6) + static_cast<std::size_t>(std::countr_zero(word))));
-          word &= word - 1;
-        }
-      }
-    } else {
-      AIGS_CHECK(word_pool.size() <= 0xFFFFFFFFu);
-      ref.payload = static_cast<std::uint32_t>(word_pool.size());
-      ref.meta =
-          static_cast<std::uint16_t>(kDenseChunk | (chunk_words.size() << 2));
-      word_pool.insert(word_pool.end(), chunk_words.begin(), chunk_words.end());
+    // Run starts: set bits whose predecessor in the chunk is clear. `carry`
+    // threads bit 63 of the previous word so a run spanning a word boundary
+    // counts once.
+    std::uint64_t starts[kChunkWords];
+    std::uint64_t carry = 0;
+    for (std::size_t w = 0; w < chunk_words; ++w) {
+      starts[w] = chunk[w] & ~((chunk[w] << 1) | carry);
+      carry = chunk[w] >> 63;
     }
-    chunk_refs.push_back(ref);
+    const std::size_t runs = ops.popcount_words(starts, chunk_words);
+    const ChunkRef ref = BeginChunk(ck, bits, runs, chunk_words);
+    switch (ChunkKindOf(ref)) {
+      case kRunChunk: {
+        // Extract maximal runs of set bits, merging across word boundaries.
+        std::size_t run_start = 0;
+        std::size_t run_len = 0;
+        for (std::size_t w = 0; w < chunk_words; ++w) {
+          std::uint64_t word = chunk[w];
+          while (word != 0) {
+            const std::size_t start =
+                (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+            const std::uint64_t shifted = word >> (start & 63);
+            const std::size_t len =
+                static_cast<std::size_t>(std::countr_one(shifted));
+            if (run_len > 0 && run_start + run_len == start) {
+              run_len += len;  // continues the previous word's trailing run
+            } else {
+              if (run_len > 0) {
+                u16_pool_.push_back(static_cast<std::uint16_t>(run_start));
+                u16_pool_.push_back(static_cast<std::uint16_t>(run_len));
+              }
+              run_start = start;
+              run_len = len;
+            }
+            if ((start & 63) + len >= 64) {
+              word = 0;
+            } else {
+              word &= ~std::uint64_t{0} << ((start & 63) + len);
+            }
+          }
+        }
+        u16_pool_.push_back(static_cast<std::uint16_t>(run_start));
+        u16_pool_.push_back(static_cast<std::uint16_t>(run_len));
+        break;
+      }
+      case kDeltaChunk:
+        for (std::size_t w = 0; w < chunk_words; ++w) {
+          std::uint64_t word = chunk[w];
+          while (word != 0) {
+            u16_pool_.push_back(static_cast<std::uint16_t>(
+                (w << 6) + static_cast<std::size_t>(std::countr_zero(word))));
+            word &= word - 1;
+          }
+        }
+        break;
+      case kDenseChunk:
+        word_pool_.insert(word_pool_.end(), chunk, chunk + chunk_words);
+        break;
+    }
+    chunk_refs_.push_back(ref);
   }
-  AIGS_CHECK(chunk_refs.size() - first_ref <= 0xFFFFFFFFu);
+  AIGS_CHECK(chunk_refs_.size() - first_ref <= 0xFFFFFFFFu);
   return RowRef{static_cast<std::uint32_t>(first_ref),
-                static_cast<std::uint32_t>(chunk_refs.size() - first_ref),
+                static_cast<std::uint32_t>(chunk_refs_.size() - first_ref),
                 static_cast<std::uint32_t>(count)};
 }
 
@@ -635,38 +600,31 @@ void CompressedClosure::SubtractFrom(NodeId u, DynamicBitset& alive) const {
 
 void CompressedClosure::ExpandRowInto(NodeId u, DynamicBitset& out) const {
   AIGS_DCHECK(out.size() == n_);
-  ExpandEncodedInto(rows_[u], chunk_refs_.data(), word_pool_.data(),
-                    u16_pool_.data(), out);
-}
-
-void CompressedClosure::ExpandEncodedInto(const RowRef& row,
-                                          const ChunkRef* refs,
-                                          const std::uint64_t* word_pool,
-                                          const std::uint16_t* u16_pool,
-                                          DynamicBitset& out) {
+  const RowRef& row = rows_[u];
   if (row.extent & kIntervalFlag) {
     out.SetRange(row.first, row.first + (row.extent & ~kIntervalFlag));
     return;
   }
   for (std::uint32_t r = row.first; r < row.first + row.extent; ++r) {
-    const ChunkRef& ref = refs[r];
+    const ChunkRef& ref = chunk_refs_[r];
     const std::size_t base = static_cast<std::size_t>(ref.chunk) * kChunkBits;
     const std::uint16_t items = ChunkItems(ref);
     switch (ChunkKindOf(ref)) {
       case kDenseChunk:
         out.OrWordsAt(
             static_cast<std::size_t>(ref.chunk) * kChunkWords,
-            std::span<const std::uint64_t>(word_pool + ref.payload, items));
+            std::span<const std::uint64_t>(word_pool_.data() + ref.payload,
+                                           items));
         break;
       case kDeltaChunk:
         for (std::uint16_t i = 0; i < items; ++i) {
-          out.Set(base + u16_pool[ref.payload + i]);
+          out.Set(base + u16_pool_[ref.payload + i]);
         }
         break;
       case kRunChunk:
         for (std::uint16_t i = 0; i < items; ++i) {
-          const std::size_t start = base + u16_pool[ref.payload + 2 * i];
-          out.SetRange(start, start + u16_pool[ref.payload + 2 * i + 1]);
+          const std::size_t start = base + u16_pool_[ref.payload + 2 * i];
+          out.SetRange(start, start + u16_pool_[ref.payload + 2 * i + 1]);
         }
         break;
     }
@@ -739,6 +697,8 @@ CompressedClosure::Stats CompressedClosure::stats() const {
         break;
     }
   }
+  s.merged_rows = merged_rows_;
+  s.scratch_rows = scratch_rows_;
   return s;
 }
 
@@ -747,6 +707,39 @@ bool CompressedClosure::IdenticalEncoding(const CompressedClosure& other) const 
          node_at_pos_ == other.node_at_pos_ && rows_ == other.rows_ &&
          chunk_refs_ == other.chunk_refs_ && word_pool_ == other.word_pool_ &&
          u16_pool_ == other.u16_pool_;
+}
+
+std::uint64_t CompressedClosure::EncodingDigest() const {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  mix(n_);
+  for (const std::uint32_t p : pos_) {
+    mix(p);
+  }
+  mix(rows_.size());
+  for (const RowRef& row : rows_) {
+    mix((static_cast<std::uint64_t>(row.first) << 32) | row.extent);
+    mix(row.count);
+  }
+  mix(chunk_refs_.size());
+  for (const ChunkRef& ref : chunk_refs_) {
+    mix((static_cast<std::uint64_t>(ref.payload) << 32) |
+        (static_cast<std::uint64_t>(ref.chunk) << 16) | ref.meta);
+  }
+  mix(word_pool_.size());
+  for (const std::uint64_t word : word_pool_) {
+    mix(word);
+  }
+  mix(u16_pool_.size());
+  for (const std::uint16_t value : u16_pool_) {
+    mix(value);
+  }
+  return h;
 }
 
 std::size_t CompressedClosure::MemoryBytes() const {

@@ -34,35 +34,22 @@
 
 namespace aigs {
 
-class ThreadPool;
-
 /// Chunked hybrid-encoded closure rows over a DFS-preorder position
-/// permutation. The serial build is streaming: one dense scratch row lives
-/// at a time, so peak construction memory is the compressed output plus
-/// O(n/8) bytes. The parallel build levelizes the impure rows by dependency
-/// depth and shards each level across workers (one scratch row and one
-/// local chunk pool per shard), then concatenates the per-row encodings in
-/// reverse-topological order — exactly the serial append order, so the
-/// encoded bytes are IDENTICAL to the serial build's.
+/// permutation. The build is one serial reverse-topological pass. Each
+/// impure row is its own position plus the union of its children's rows.
+/// Where every child's row is known as a short sorted list of disjoint
+/// position intervals, the row is merged from those lists and encoded
+/// straight from its intervals; otherwise it is ORed into one dense scratch
+/// row and encoded from that. The choice is per row: the merge runs only
+/// while the summed child list length fits in the row's word span. Both
+/// paths append to the same pools in the same order, so the encoding
+/// depends only on the graph. Peak construction memory is the compressed
+/// output, the merged lists, and one O(n/8) scratch row.
 class CompressedClosure {
  public:
-  /// Build concurrency. The default builds on every hardware thread via the
-  /// shared default pool.
-  struct BuildOptions {
-    /// Worker count: 0 = hardware concurrency, 1 = serial streaming build.
-    int threads = 0;
-    /// Caller-owned pool to shard on (overrides `threads`); lets an
-    /// evaluator building many datasets reuse one pool instead of
-    /// oversubscribing cores with nested ones. Must not be one of the
-    /// pool's own worker threads calling in.
-    ThreadPool* pool = nullptr;
-  };
-
   /// Builds compressed rows for every node of a finalized digraph whose
   /// root reaches all nodes.
-  explicit CompressedClosure(const Digraph& g)
-      : CompressedClosure(g, BuildOptions{}) {}
-  CompressedClosure(const Digraph& g, const BuildOptions& options);
+  explicit CompressedClosure(const Digraph& g);
 
   /// Test seam: encodes the given dense rows verbatim under the *identity*
   /// position mapping (pos(v) = v). Exercises the chunk codec without a
@@ -154,13 +141,17 @@ class CompressedClosure {
     }
   }
 
-  /// Per-representation row/chunk counts, for bench reporting.
+  /// Per-representation row/chunk counts, for bench reporting, plus how
+  /// the graph build encoded its impure (non-tree-pure) rows: merged from
+  /// child interval lists, or ORed into the dense scratch row.
   struct Stats {
     std::size_t interval_rows = 0;
     std::size_t chunked_rows = 0;
     std::size_t dense_chunks = 0;
     std::size_t delta_chunks = 0;
     std::size_t run_chunks = 0;
+    std::size_t merged_rows = 0;
+    std::size_t scratch_rows = 0;
   };
   Stats stats() const;
 
@@ -172,10 +163,12 @@ class CompressedClosure {
   std::size_t MemoryBytes() const;
 
   /// True iff the two indexes hold byte-identical encodings: same
-  /// permutation, row table, chunk refs, and payload pools. The
-  /// parallel-build tests and the kernels suite gate on this against a
-  /// serial build.
+  /// permutation, row table, chunk refs, and payload pools.
   bool IdenticalEncoding(const CompressedClosure& other) const;
+
+  /// 64-bit FNV-1a digest over the permutation, row table, chunk refs, and
+  /// both payload pools: pins the encoded bytes in golden tests.
+  std::uint64_t EncodingDigest() const;
 
  private:
   // Chunk geometry: 4096 bits = 64 words per chunk; chunk indices fit u16.
@@ -208,6 +201,9 @@ class CompressedClosure {
     bool operator==(const ChunkRef&) const = default;
   };
 
+  static RowRef IntervalRow(std::uint32_t start, std::uint32_t len) {
+    return RowRef{start, len | kIntervalFlag, len};
+  }
   static ChunkKind ChunkKindOf(const ChunkRef& ref) {
     return static_cast<ChunkKind>(ref.meta & 3);
   }
@@ -215,44 +211,25 @@ class CompressedClosure {
     return static_cast<std::uint16_t>(ref.meta >> 2);
   }
 
-  // Destination pools for one row's encoding: the members for the serial
-  // streaming build, or a per-row scratch triple during the parallel build
-  // (rebased into the members at assembly).
-  struct RowSink {
-    std::vector<ChunkRef>* refs;
-    std::vector<std::uint64_t>* words;
-    std::vector<std::uint16_t>* u16;
-  };
-  // A row encoded into detached pools, plus its build-time touched range —
-  // what the parallel build produces per impure row before assembly.
-  struct RowEncoding {
-    RowRef row;
-    std::vector<ChunkRef> refs;
-    std::vector<std::uint64_t> words;
-    std::vector<std::uint16_t> u16;
+  // Half-open position interval [start, end).
+  struct Interval {
+    std::uint32_t start;
+    std::uint32_t end;
   };
 
-  void BuildFromGraph(const Digraph& g, const BuildOptions& options);
-  // The parallel level-sharded encode of the impure rows; `pure` marks rows
-  // already stored as intervals, `bounds` carries touched ranges across
-  // levels. Produces bytes identical to the serial streaming loop.
-  void BuildImpureRowsParallel(
-      const Digraph& g, const std::vector<bool>& pure,
-      std::vector<std::pair<std::uint32_t, std::uint32_t>>& bounds,
-      ThreadPool& pool, std::size_t workers);
-  // Encodes the bits of `scratch` (position space) in [lo, hi] into `sink`,
-  // choosing interval or per-chunk hybrid encodings. `count` is the number
-  // of set bits in the range. The returned RowRef's `first` indexes
-  // sink.refs AS OF THE CALL (so it is final when the sink is the member
-  // pools, and 0-based when the sink is a fresh per-row triple). Interval
-  // rows touch no pools.
-  RowRef EncodeRowTo(const RowSink& sink, const DynamicBitset& scratch,
-                     std::size_t lo, std::size_t hi, std::size_t count) const;
-  // Expands one encoded row (wherever its pools live) into `out`.
-  static void ExpandEncodedInto(const RowRef& row, const ChunkRef* refs,
-                                const std::uint64_t* word_pool,
-                                const std::uint16_t* u16_pool,
-                                DynamicBitset& out);
+  void BuildFromGraph(const Digraph& g);
+  // Starts the ChunkRef for chunk `ck` holding `bits` set bits in `runs`
+  // maximal runs over `chunk_words` words: picks the smallest encoding and
+  // points the payload at the end of its pool. The caller appends the
+  // payload.
+  ChunkRef BeginChunk(std::size_t ck, std::size_t bits, std::size_t runs,
+                      std::size_t chunk_words) const;
+  // Encodes a row given as sorted, disjoint, non-adjacent intervals.
+  RowRef EncodeIntervals(std::span<const Interval> list);
+  // Encodes the bits of `scratch` (position space) in [lo, hi]; the row must
+  // have no set bits outside that range. Contiguous rows become intervals.
+  RowRef EncodeScratchRow(const DynamicBitset& scratch, std::size_t lo,
+                          std::size_t hi);
 
   std::size_t n_ = 0;
   std::size_t words_ = 0;  // words per full-width position-space row
@@ -262,6 +239,9 @@ class CompressedClosure {
   std::vector<ChunkRef> chunk_refs_;
   std::vector<std::uint64_t> word_pool_;
   std::vector<std::uint16_t> u16_pool_;
+  // Build-path row counts reported by stats().
+  std::size_t merged_rows_ = 0;
+  std::size_t scratch_rows_ = 0;
 };
 
 }  // namespace aigs

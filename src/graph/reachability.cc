@@ -19,14 +19,7 @@ ReachabilityIndex::ReachabilityIndex(const Digraph& g,
   }
   if (options.closure == ReachabilityOptions::Closure::kCompressed) {
     storage_ = Storage::kCompressedClosure;
-    compressed_ = std::make_unique<CompressedClosure>(
-        g, CompressedClosure::BuildOptions{options.build_threads,
-                                           options.build_pool});
-    const std::size_t n = g.NumNodes();
-    reach_count_.assign(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-      reach_count_[u] = compressed_->RowCount(u);
-    }
+    compressed_ = std::make_unique<CompressedClosure>(g);
   } else {
     storage_ = Storage::kDenseClosure;
     BuildClosure(options);

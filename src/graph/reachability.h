@@ -7,8 +7,9 @@
 //   - Euler intervals for tree hierarchies — O(n) memory.
 //   - Compressed closure rows (graph/compressed_closure.h) for every other
 //     hierarchy — interval / chunked hybrid rows over a DFS-preorder
-//     permutation, built streaming with one dense scratch row. At the
-//     paper's 28k-node ImageNet DAG they take 0.8 MB where dense rows take
+//     permutation, built in one serial pass that merges child interval lists
+//     where they are short and falls back to one dense scratch row. At the
+//     paper's 28k-node ImageNet DAG they take 0.6 MB where dense rows take
 //     92 MB, and they are what makes million-node catalogs buildable at
 //     all: the dense footprint at 1M nodes is ~125 GB.
 //   - Dense bitset closure rows — O(n²/8) memory, built in reverse
@@ -45,14 +46,14 @@ struct ReachabilityOptions {
   /// can be exercised (and benched) on every hierarchy shape.
   bool force_closure_on_trees = false;
 
-  /// Closure build concurrency: 0 = hardware concurrency, 1 = serial.
+  /// Dense closure build concurrency: 0 = hardware concurrency, 1 = serial.
   /// Parallel builds levelize rows by dependency depth and shard each
-  /// level; the resulting index is bit-identical to a serial build (and,
-  /// for compressed storage, byte-identical in its encoded pools). Euler
-  /// (tree) builds are always serial — they are O(n) already.
+  /// level; the resulting rows are bit-identical to a serial build. Only
+  /// the explicitly pinned dense closure reads this: compressed rows build
+  /// in one serial pass, and Euler (tree) builds are O(n) already.
   int build_threads = 0;
 
-  /// Caller-owned pool to shard the closure build on (overrides
+  /// Caller-owned pool to shard the dense closure build on (overrides
   /// `build_threads`). Must not be one of the pool's own workers calling
   /// in.
   ThreadPool* build_pool = nullptr;
@@ -83,6 +84,9 @@ class ReachabilityIndex {
 
   /// |R(u)|: number of nodes reachable from u, u included.
   std::size_t ReachableCount(NodeId u) const {
+    if (storage_ == Storage::kCompressedClosure) {
+      return compressed_->RowCount(u);
+    }
     return reach_count_[u];
   }
 
@@ -188,6 +192,7 @@ class ReachabilityIndex {
   // Compressed closure mode.
   std::unique_ptr<CompressedClosure> compressed_;
 
+  // |R(u)| for Euler and dense storage; compressed rows carry their own.
   std::vector<std::size_t> reach_count_;
 };
 

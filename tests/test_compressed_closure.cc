@@ -257,6 +257,29 @@ TEST(CompressedClosureGraph, MatchesBruteForceOnDags) {
   }
 }
 
+// Rows spanning several 4096-bit chunks, built on both paths: merged from
+// child interval lists where those are short, ORed into the dense scratch
+// row where a child has no list or the lists outgrow the row's word span.
+TEST(CompressedClosureGraph, BothBuildPathsMatchBruteForce) {
+  Rng rng(8);
+  const Digraph g = RandomDag(9'000, rng, 3.0);
+  const CompressedClosure cc(g);
+  ASSERT_GT(cc.stats().merged_rows, 0u);
+  ASSERT_GT(cc.stats().scratch_rows, 0u);
+
+  Rng probe(9);
+  for (int i = 0; i < 200; ++i) {
+    const NodeId u = static_cast<NodeId>(probe.UniformInt(g.NumNodes()));
+    const std::vector<NodeId> reachable = CollectReachable(g, u);
+    ASSERT_EQ(cc.RowCount(u), reachable.size()) << "row " << u;
+    DynamicBitset brute(g.NumNodes());
+    for (const NodeId v : reachable) {
+      brute.Set(cc.pos(v));
+    }
+    ASSERT_TRUE(Decode(cc, u) == brute) << "row " << u;
+  }
+}
+
 TEST(CompressedClosureGraph, MemoryStaysFarBelowDense) {
   Rng rng(7);
   const Digraph g = RandomDag(2'000, rng, 0.05);

@@ -1,13 +1,16 @@
-// Parallel reachability-index builds must be indistinguishable from serial
-// ones: dense closure rows bit-identical, compressed encodings
-// byte-identical (same row table, chunk refs, and payload pools), for any
-// worker count and on a caller-owned pool. The parallel path only engages
-// above a node floor, so these tests run at graph sizes straddling it.
+// Reachability-index builds must not depend on how they are run. Dense
+// closure rows are bit-identical to a serial build for any worker count and
+// on a caller-owned pool; the parallel path only engages above a node
+// floor, so these tests run at graph sizes straddling it. Compressed
+// encodings are pinned byte for byte by golden digests, and build options
+// must leave them unchanged.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "data/datasets.h"
+#include "data/synthetic_catalog.h"
 #include "graph/compressed_closure.h"
 #include "graph/digraph.h"
 #include "graph/generators.h"
@@ -18,54 +21,53 @@
 namespace aigs {
 namespace {
 
-// The compressed parallel build engages at >= 8192 nodes; the dense one at
-// >= 2048. Use sizes above both so the sharded paths actually run.
+// Above the dense build's parallel floor (2048 nodes).
 constexpr std::size_t kDagNodes = 10'000;
 
-TEST(ParallelBuild, CompressedEncodingByteIdenticalAcrossThreadCounts) {
-  Rng rng(3101);
-  const Digraph dag = RandomDag(kDagNodes, rng, 0.25);
-
-  CompressedClosure::BuildOptions serial;
-  serial.threads = 1;
-  const CompressedClosure reference(dag, serial);
-
-  for (const int threads : {2, 8}) {
-    CompressedClosure::BuildOptions options;
-    options.threads = threads;
-    const CompressedClosure parallel(dag, options);
-    EXPECT_TRUE(reference.IdenticalEncoding(parallel))
-        << "threads=" << threads;
+// Golden digests of compressed encodings (permutation, row table, chunk refs
+// and both payload pools), recorded from the dense-scratch-row encoder that
+// preceded the interval-merge build. Any change to the encoded bytes of
+// these catalogs fails here. Together they cover every chunk kind, interval
+// and chunked rows, and both build paths (asserted below).
+TEST(CompressedBuild, GoldenEncodingDigestsArePinned) {
+  CompressedClosure::Stats total;
+  const auto check = [&total](const CompressedClosure& cc,
+                              std::uint64_t digest, const char* name) {
+    EXPECT_EQ(cc.EncodingDigest(), digest) << name;
+    const CompressedClosure::Stats s = cc.stats();
+    total.interval_rows += s.interval_rows;
+    total.chunked_rows += s.chunked_rows;
+    total.dense_chunks += s.dense_chunks;
+    total.delta_chunks += s.delta_chunks;
+    total.run_chunks += s.run_chunks;
+    total.merged_rows += s.merged_rows;
+    total.scratch_rows += s.scratch_rows;
+  };
+  check(MakeImageNetDataset(1.0).hierarchy.reach().compressed(),
+        0x306E6BB6B103E000ULL, "imagenet 1.0");
+  check(MakeImageNetDataset(0.05).hierarchy.reach().compressed(),
+        0xCE73AC1E1B6A2E8FULL, "imagenet 0.05");
+  check(CompressedClosure(GenerateCatalogDag(BigCatalogParams(100'000))),
+        0x577A912ED164CEB7ULL, "bigcatalog 100k");
+  const struct {
+    double frac;
+    std::uint64_t digest;
+  } random_dags[] = {{0.25, 0x2CAC1B039F8C046BULL},
+                     {3.0, 0x3C7AD0776CE1F4C5ULL},
+                     {10.0, 0x4DE30ED26E246410ULL}};
+  for (const auto& [frac, digest] : random_dags) {
+    Rng rng(3101);
+    check(CompressedClosure(RandomDag(kDagNodes, rng, frac)), digest,
+          "random dag");
   }
-}
 
-TEST(ParallelBuild, CompressedEncodingByteIdenticalOnTree) {
-  Rng rng(3102);
-  const Digraph tree = RandomTree(kDagNodes, rng);
-
-  CompressedClosure::BuildOptions serial;
-  serial.threads = 1;
-  const CompressedClosure reference(tree, serial);
-
-  CompressedClosure::BuildOptions options;
-  options.threads = 8;
-  const CompressedClosure parallel(tree, options);
-  EXPECT_TRUE(reference.IdenticalEncoding(parallel));
-}
-
-TEST(ParallelBuild, CompressedBuildOnCallerOwnedPool) {
-  Rng rng(3103);
-  const Digraph dag = RandomDag(kDagNodes, rng, 0.3);
-
-  CompressedClosure::BuildOptions serial;
-  serial.threads = 1;
-  const CompressedClosure reference(dag, serial);
-
-  ThreadPool pool(4);
-  CompressedClosure::BuildOptions options;
-  options.pool = &pool;
-  const CompressedClosure parallel(dag, options);
-  EXPECT_TRUE(reference.IdenticalEncoding(parallel));
+  EXPECT_GT(total.interval_rows, 0u);
+  EXPECT_GT(total.chunked_rows, 0u);
+  EXPECT_GT(total.dense_chunks, 0u);
+  EXPECT_GT(total.delta_chunks, 0u);
+  EXPECT_GT(total.run_chunks, 0u);
+  EXPECT_GT(total.merged_rows, 0u);
+  EXPECT_GT(total.scratch_rows, 0u);
 }
 
 TEST(ParallelBuild, DenseClosureBitIdenticalAcrossThreadCounts) {
