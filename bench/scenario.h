@@ -63,11 +63,12 @@ struct ScenarioSpec {
   std::size_t samples = 0;
   /// Evaluator worker count (0 = shared default pool, 1 = serial).
   int threads = 0;
-  /// Dense closure build worker count (0 = hardware concurrency,
-  /// 1 = serial; compressed rows always build serially). The built index is
-  /// bit-identical either way, so this is purely a build-latency knob — it
-  /// is excluded from the dataset cache key and not emitted in result rows.
-  int build_threads = 0;
+  /// Dense closure build worker count (1 = serial, the default;
+  /// 0 = hardware concurrency; compressed rows always build serially). The
+  /// built index is bit-identical either way, so this is purely a
+  /// build-latency knob — it is excluded from the dataset cache key and not
+  /// emitted in result rows.
+  int build_threads = 1;
   /// Drive every search through Engine sessions (Open/Ask/Answer/Close on a
   /// published snapshot) instead of in-process Policy::NewSession calls.
   /// Cost aggregates are bit-identical to the in-process path by
@@ -110,11 +111,12 @@ class DatasetCache {
   /// Returns a cached dataset; builds it on first use. The pointer stays
   /// valid for the cache's lifetime. `reach` = auto|dense|compressed (a
   /// ScenarioSpec::reach value; distinct storages cache separately).
-  /// `build_threads` shards a dense closure build (0 = hardware); the built
-  /// index is bit-identical regardless, so it does not key the cache.
+  /// `build_threads` shards a dense closure build (1 = serial,
+  /// 0 = hardware); the built index is bit-identical regardless, so it does
+  /// not key the cache.
   StatusOr<const Dataset*> Get(const std::string& name, double scale,
                                const std::string& reach = "auto",
-                               int build_threads = 0);
+                               int build_threads = 1);
 
  private:
   std::map<std::tuple<std::string, int, std::string>,

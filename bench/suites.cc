@@ -1,5 +1,7 @@
 #include "bench/suites.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <optional>
@@ -1845,6 +1847,17 @@ constexpr bool SanitizedBuild() {
 #endif
 }
 
+/// CPUs this process may run on (its affinity mask, which a container or
+/// taskset narrows below the machine's core count).
+std::size_t AllowedCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) {
+    return std::max(1u, std::thread::hardware_concurrency());
+  }
+  return static_cast<std::size_t>(CPU_COUNT(&set));
+}
+
 /// Every registry policy spec the hierarchy supports (mirrors
 /// test_epoch_migration.cc; the scripted policy gets a complete question
 /// order so it can finish any target).
@@ -2000,6 +2013,7 @@ Status NetworkLoadgenSlo(SuiteContext& ctx, const Dataset& d) {
                             std::to_string(one.wrong_targets) +
                             " wrong targets");
   }
+  const std::size_t server_loops = single.server.num_workers();
   single.server.Stop();  // free the core(s) before the sharded run
 
   NetBackend s0(d), s1(d), s2(d);
@@ -2057,25 +2071,50 @@ Status NetworkLoadgenSlo(SuiteContext& ctx, const Dataset& d) {
 #else
   constexpr bool kOptimized = false;
 #endif
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (!kOptimized || SanitizedBuild() || cores < 4) {
-    std::printf("network SLO gates skipped (%s build, %u core(s)): the "
-                "targets assume an optimized binary and >=4 cores so the "
-                "loadgen does not timeshare with the servers\n\n",
-                !kOptimized ? "debug"
-                            : (SanitizedBuild() ? "sanitized" : "release"),
-                cores);
+  // Each gate arms only when the CPUs this process may run on cover every
+  // thread of its configuration (the single-threaded loadgen plus each
+  // server's worker loops), so the loadgen never timeshares with a server.
+  const std::size_t cpus = AllowedCpus();
+  const std::size_t single_needs = 1 + server_loops;
+  const std::size_t shard3_needs = 1 + 3 * server_loops;
+  const auto skip_reason = [&](std::size_t needs) -> std::string {
+    if (!kOptimized || SanitizedBuild()) {
+      return std::string(!kOptimized ? "debug" : "sanitized") +
+             " build; the targets assume an optimized binary";
+    }
+    if (cpus < needs) {
+      return std::to_string(cpus) + " CPU(s) allowed, " +
+             std::to_string(needs) + " needed";
+    }
+    return "";
+  };
+
+  if (const std::string why = skip_reason(single_needs); !why.empty()) {
+    std::printf("single-server SLO gate skipped (%s): measured %s req/s, "
+                "p99 %sus\n",
+                why.c_str(), FormatDouble(one.throughput_rps, 0).c_str(),
+                FormatDouble(one.p99_us, 1).c_str());
+  } else {
+    if (one.throughput_rps < 100'000.0) {
+      return Status::Internal(
+          "network SLO violated: single-server throughput " +
+          FormatDouble(one.throughput_rps, 0) + " req/s is under 100k");
+    }
+    if (one.p99_us > 1000.0) {
+      return Status::Internal("network SLO violated: single-server p99 " +
+                              FormatDouble(one.p99_us, 1) +
+                              "us exceeds 1ms at 64 connections");
+    }
+    std::printf("single server >=100k req/s, p99 <=1ms: OK\n");
+  }
+
+  if (const std::string why = skip_reason(shard3_needs); !why.empty()) {
+    std::printf("3-shard SLO gate skipped (%s): measured %s req/s, %sx the "
+                "single server\n\n",
+                why.c_str(), FormatDouble(three.throughput_rps, 0).c_str(),
+                FormatDouble(three.throughput_rps / one.throughput_rps, 2)
+                    .c_str());
     return Status::OK();
-  }
-  if (one.throughput_rps < 100'000.0) {
-    return Status::Internal(
-        "network SLO violated: single-server throughput " +
-        FormatDouble(one.throughput_rps, 0) + " req/s is under 100k");
-  }
-  if (one.p99_us > 1000.0) {
-    return Status::Internal("network SLO violated: single-server p99 " +
-                            FormatDouble(one.p99_us, 1) +
-                            "us exceeds 1ms at 64 connections");
   }
   if (three.throughput_rps < 2.0 * one.throughput_rps) {
     return Status::Internal(
@@ -2083,7 +2122,7 @@ Status NetworkLoadgenSlo(SuiteContext& ctx, const Dataset& d) {
         FormatDouble(three.throughput_rps, 0) + " req/s is under 2x the "
         "single-server " + FormatDouble(one.throughput_rps, 0) + " req/s");
   }
-  std::printf("single server >=100k req/s, p99 <=1ms, 3-shard >=2x: OK\n\n");
+  std::printf("3-shard >=2x single: OK\n\n");
   return Status::OK();
 }
 

@@ -19,7 +19,9 @@ namespace aigs {
 class Hierarchy {
  public:
   /// Takes ownership of `g` (finalizing it first if necessary, adding a
-  /// dummy root for multi-root inputs) and builds the indexes.
+  /// dummy root for multi-root inputs) and builds the indexes: the
+  /// reachability index first, then on trees a Tree view of its Euler
+  /// layout.
   /// `reach_options` selects the reachability storage; the default is
   /// Euler intervals on trees and compressed closure rows otherwise.
   static StatusOr<Hierarchy> Build(Digraph g,
@@ -48,8 +50,8 @@ class Hierarchy {
   Hierarchy() = default;
 
   std::unique_ptr<Digraph> graph_;
-  std::unique_ptr<Tree> tree_;  // null for non-tree DAGs
   std::unique_ptr<ReachabilityIndex> reach_;
+  std::unique_ptr<Tree> tree_;  // null for non-tree DAGs; views reach_
 };
 
 }  // namespace aigs

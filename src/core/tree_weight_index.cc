@@ -1,20 +1,17 @@
 #include "core/tree_weight_index.h"
 
-#include "tree/subtree_weights.h"
-
 namespace aigs {
 
 TreeWeightBase::TreeWeightBase(const Tree& tree,
                                std::vector<Weight> node_weights)
     : tree_(&tree) {
-  subtree_size_ = ComputeSubtreeSizes(tree);
   SetWeights(std::move(node_weights));
 }
 
 void TreeWeightBase::SetWeights(std::vector<Weight> node_weights) {
   AIGS_CHECK(node_weights.size() == tree_->NumNodes());
   node_weight_ = std::move(node_weights);
-  subtree_weight_ = ComputeSubtreeWeights(*tree_, node_weight_);
+  subtree_weight_ = tree_->SubtreeWeights(node_weight_);
 }
 
 void TreeWeightBase::AddWeight(NodeId v, Weight delta) {

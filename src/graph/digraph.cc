@@ -99,35 +99,40 @@ Status Digraph::Finalize(bool add_dummy_root) {
     }
   }
 
-  // Find sources (the last one seen is the root when it is the only one);
-  // add a dummy root if needed.
-  {
-    std::size_t num_sources = 0;
-    for (NodeId v = 0; v < num_nodes_; ++v) {
-      if (parent_offsets_[v] == parent_offsets_[v + 1]) {
-        root_ = v;
-        ++num_sources;
-      }
+  // Kahn's topological sort, using topo_order_ itself as the FIFO queue and
+  // the scratch array as remaining in-degrees; the sources seed the queue
+  // in id order (the last one seen is the root when it is the only one).
+  topo_order_.clear();
+  topo_order_.reserve(num_nodes_ + 1);
+  for (NodeId v = 0; v < num_nodes_; ++v) {
+    scratch[v] =
+        static_cast<NodeId>(parent_offsets_[v + 1] - parent_offsets_[v]);
+    if (scratch[v] == 0) {
+      root_ = v;
+      topo_order_.push_back(v);
     }
-    if (num_sources == 0) {
-      return Status::InvalidArgument("graph has a cycle (no source node)");
+  }
+  const std::size_t num_sources = topo_order_.size();
+  if (num_sources == 0) {
+    return Status::InvalidArgument("graph has a cycle (no source node)");
+  }
+  if (num_sources > 1) {
+    if (!add_dummy_root) {
+      return Status::InvalidArgument("graph has " +
+                                     std::to_string(num_sources) +
+                                     " roots and add_dummy_root is false");
     }
-    if (num_sources > 1) {
-      if (!add_dummy_root) {
-        return Status::InvalidArgument("graph has " +
-                                       std::to_string(num_sources) +
-                                       " roots and add_dummy_root is false");
-      }
-      const auto root = static_cast<NodeId>(num_nodes_);
-      for (NodeId v = 0; v < num_nodes_; ++v) {
-        if (parent_offsets_[v] == parent_offsets_[v + 1]) {
-          edges_.push_back(Edge{root, v});
-        }
-      }
-      AddNode("<root>");
-      root_ = root;
-      BuildCsr();
+    // The dummy root becomes the only source, and each former source waits
+    // on it alone.
+    root_ = static_cast<NodeId>(num_nodes_);
+    for (const NodeId v : topo_order_) {
+      edges_.push_back(Edge{root_, v});
+      scratch[v] = 1;
     }
+    AddNode("<root>");
+    BuildCsr();
+    scratch[root_] = 0;
+    topo_order_.assign(1, root_);
   }
 
   const std::size_t n = num_nodes_;
@@ -135,18 +140,18 @@ Status Digraph::Finalize(bool add_dummy_root) {
   // CSR is usable from here on; roll the flag back if cycle detection fails.
   finalized_ = true;
 
-  // Kahn topological sort, using topo_order_ itself as the FIFO queue and
-  // the scratch array as remaining in-degrees; detects cycles.
-  topo_order_.clear();
-  topo_order_.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    scratch[v] = static_cast<NodeId>(InDegree(v));
-    if (scratch[v] == 0) {
-      topo_order_.push_back(v);
-    }
-  }
+  // A node's longest-path depth is final when it leaves the queue, so the
+  // depth array, height and maximum out-degree fill in the same pass.
+  depth_.assign(n, 0);
+  height_ = 0;
+  max_out_degree_ = 0;
   for (std::size_t head = 0; head < topo_order_.size(); ++head) {
-    for (const NodeId c : Children(topo_order_[head])) {
+    const NodeId u = topo_order_[head];
+    const int child_depth = depth_[u] + 1;
+    height_ = std::max(height_, depth_[u]);
+    max_out_degree_ = std::max(max_out_degree_, OutDegree(u));
+    for (const NodeId c : Children(u)) {
+      depth_[c] = std::max(depth_[c], child_depth);
       if (--scratch[c] == 0) {
         topo_order_.push_back(c);
       }
@@ -157,24 +162,10 @@ Status Digraph::Finalize(bool add_dummy_root) {
     return Status::InvalidArgument("graph has a cycle");
   }
 
-  // Longest-path depth from the root, and summary statistics.
-  depth_.assign(n, 0);
-  height_ = 0;
-  for (const NodeId u : topo_order_) {
-    for (const NodeId c : Children(u)) {
-      depth_[c] = std::max(depth_[c], depth_[u] + 1);
-      height_ = std::max(height_, depth_[c]);
-    }
-  }
-
-  max_out_degree_ = 0;
-  is_tree_ = true;
-  for (NodeId v = 0; v < n; ++v) {
-    max_out_degree_ = std::max(max_out_degree_, OutDegree(v));
-    if (v != root_ && InDegree(v) != 1) {
-      is_tree_ = false;
-    }
-  }
+  // One source and no cycle leave every other node at least one parent, so
+  // exactly n - 1 edges means exactly one parent each.
+  is_tree_ = children_.size() == n - 1;
+  std::vector<Edge>().swap(edges_);
   return Status::OK();
 }
 

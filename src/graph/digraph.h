@@ -36,7 +36,9 @@ class Digraph {
   void AddEdge(NodeId parent, NodeId child);
 
   /// Validates (acyclic, at least one node, no duplicate edges) and freezes
-  /// the graph: builds CSR adjacency, topological order and depth array.
+  /// the graph: builds CSR adjacency, then one Kahn pass yields the
+  /// topological order, depth array, height, maximum out-degree and tree
+  /// test. The edge list is released once the CSR holds it.
   /// If the graph has several source nodes and `add_dummy_root` is true, a
   /// dummy root labeled "<root>" is appended with an edge to every source
   /// (the paper's multi-root convention); otherwise several sources are an
@@ -51,8 +53,10 @@ class Digraph {
   /// Number of nodes (including any dummy root).
   std::size_t NumNodes() const { return num_nodes_; }
 
-  /// Number of edges.
-  std::size_t NumEdges() const { return edges_.size(); }
+  /// Number of edges (including any dummy-root edges).
+  std::size_t NumEdges() const {
+    return finalized_ ? children_.size() : edges_.size();
+  }
 
   /// The unique root (in-degree 0) node.
   NodeId root() const {
@@ -127,7 +131,7 @@ class Digraph {
   std::size_t num_nodes_ = 0;
   // Only labeled nodes are stored: catalog-scale graphs have almost none.
   std::unordered_map<NodeId, std::string> labels_;
-  std::vector<Edge> edges_;
+  std::vector<Edge> edges_;  // construction phase only
 
   // CSR adjacency, filled by Finalize().
   std::vector<std::size_t> child_offsets_;

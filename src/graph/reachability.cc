@@ -32,7 +32,6 @@ void ReachabilityIndex::BuildEuler() {
   tin_.assign(n, 0);
   tout_.assign(n, 0);
   euler_to_node_.assign(n, kInvalidNode);
-  reach_count_.assign(n, 0);
 
   // Iterative DFS (hierarchies can be deep; no recursion).
   std::uint32_t clock = 0;
@@ -50,7 +49,6 @@ void ReachabilityIndex::BuildEuler() {
       stack.emplace_back(c, 0);
     } else {
       tout_[u] = clock;
-      reach_count_[u] = tout_[u] - tin_[u];
       stack.pop_back();
     }
   }

@@ -46,12 +46,14 @@ struct ReachabilityOptions {
   /// can be exercised (and benched) on every hierarchy shape.
   bool force_closure_on_trees = false;
 
-  /// Dense closure build concurrency: 0 = hardware concurrency, 1 = serial.
-  /// Parallel builds levelize rows by dependency depth and shard each
-  /// level; the resulting rows are bit-identical to a serial build. Only
-  /// the explicitly pinned dense closure reads this: compressed rows build
-  /// in one serial pass, and Euler (tree) builds are O(n) already.
-  int build_threads = 0;
+  /// Dense closure build concurrency: 1 = serial (the default: the level
+  /// barriers cost more than they save at catalog scale), 0 = hardware
+  /// concurrency. Parallel builds levelize rows by dependency depth and
+  /// shard each level; the resulting rows are bit-identical to a serial
+  /// build. Only the explicitly pinned dense closure reads this: compressed
+  /// rows build in one serial pass, and Euler (tree) builds are O(n)
+  /// already.
+  int build_threads = 1;
 
   /// Caller-owned pool to shard the dense closure build on (overrides
   /// `build_threads`). Must not be one of the pool's own workers calling
@@ -84,10 +86,15 @@ class ReachabilityIndex {
 
   /// |R(u)|: number of nodes reachable from u, u included.
   std::size_t ReachableCount(NodeId u) const {
-    if (storage_ == Storage::kCompressedClosure) {
-      return compressed_->RowCount(u);
+    switch (storage_) {
+      case Storage::kEuler:
+        return tout_[u] - tin_[u];
+      case Storage::kDenseClosure:
+        return reach_count_[u];
+      case Storage::kCompressedClosure:
+        return compressed_->RowCount(u);
     }
-    return reach_count_[u];
+    return 0;
   }
 
   /// Σ_{x ∈ R(u)} weights[x]. `weights` must have one entry per node.
@@ -148,6 +155,13 @@ class ReachabilityIndex {
     return euler_to_node_[t];
   }
 
+  /// Nodes in Euler (preorder) order, children in insertion order. Euler
+  /// mode only.
+  const std::vector<NodeId>& EulerOrder() const {
+    AIGS_DCHECK(euler_mode());
+    return euler_to_node_;
+  }
+
   /// Closure row of u: bit v set iff u reaches v. Dense closure mode only —
   /// the word-parallel form of R(u) the selection layer intersects with the
   /// alive mask.
@@ -181,7 +195,8 @@ class ReachabilityIndex {
   const Digraph* graph_;
   Storage storage_;
 
-  // Euler mode: tin/tout intervals and the Euler order.
+  // Euler mode: tin/tout intervals and the Euler order — the one preorder
+  // layout of a tree hierarchy (Tree views it rather than copying it).
   std::vector<std::uint32_t> tin_;
   std::vector<std::uint32_t> tout_;
   std::vector<NodeId> euler_to_node_;
@@ -192,7 +207,8 @@ class ReachabilityIndex {
   // Compressed closure mode.
   std::unique_ptr<CompressedClosure> compressed_;
 
-  // |R(u)| for Euler and dense storage; compressed rows carry their own.
+  // |R(u)| for dense storage; Euler intervals and compressed rows carry
+  // their own.
   std::vector<std::size_t> reach_count_;
 };
 

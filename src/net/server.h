@@ -73,6 +73,9 @@ class AigsServer {
   std::uint16_t port() const { return port_; }
   Endpoint endpoint() const { return {options_.listen.host, port_}; }
 
+  /// Worker event loops running (0 before Start() and after Stop()).
+  std::size_t num_workers() const { return workers_.size(); }
+
   /// Connections accepted over the server's lifetime / open right now.
   std::uint64_t connections_accepted() const {
     return accepted_.load(std::memory_order_relaxed);

@@ -68,10 +68,6 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Build(
   auto snapshot = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
   snapshot->config_ = std::move(config);
   snapshot->epoch_ = epoch;
-  snapshot->hierarchy_fingerprint_ =
-      HierarchyFingerprint(*snapshot->config_.hierarchy);
-  snapshot->fingerprint_ = Fingerprint(snapshot->hierarchy_fingerprint_,
-                                       snapshot->config_.distribution);
 
   PolicyContext context;
   context.hierarchy = snapshot->config_.hierarchy.get();
@@ -120,6 +116,21 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Build(
     snapshot->policies_.emplace(*unique_specs[i], *std::move(built[i]));
   }
   return std::shared_ptr<const CatalogSnapshot>(std::move(snapshot));
+}
+
+std::uint64_t CatalogSnapshot::fingerprint() const {
+  std::call_once(fingerprint_once_, [this] {
+    fingerprint_ =
+        Fingerprint(hierarchy_fingerprint(), config_.distribution);
+  });
+  return fingerprint_;
+}
+
+std::uint64_t CatalogSnapshot::hierarchy_fingerprint() const {
+  std::call_once(hierarchy_fingerprint_once_, [this] {
+    hierarchy_fingerprint_ = HierarchyFingerprint(*config_.hierarchy);
+  });
+  return hierarchy_fingerprint_;
 }
 
 StatusOr<const Policy*> CatalogSnapshot::PolicyFor(

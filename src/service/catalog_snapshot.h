@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -55,7 +56,8 @@ struct CatalogConfig {
 std::shared_ptr<const Hierarchy> UnownedHierarchy(const Hierarchy& hierarchy);
 
 /// Immutable catalog state at one epoch. Thread-safe by construction: all
-/// members are const after Build().
+/// members are const after Build() except the lazily computed digests,
+/// which std::call_once publishes.
 class CatalogSnapshot {
  public:
   /// Constructs every configured policy through the global PolicyRegistry.
@@ -79,23 +81,25 @@ class CatalogSnapshot {
   /// FNV-1a digest of the hierarchy structure and the distribution weights.
   /// Saved sessions bind to this: a transcript only replays exactly against
   /// the catalog it was recorded on (policy determinism, Definition 6).
-  std::uint64_t fingerprint() const { return fingerprint_; }
+  /// Computed once, on first use from any thread: only saved, logged and
+  /// migrated sessions read it, so Build does not pay for it.
+  std::uint64_t fingerprint() const;
 
   /// Digest of the hierarchy structure alone. Cross-epoch migration checks
   /// this instead of fingerprint(): replay-with-divergence is sound under
   /// changed WEIGHTS (answers are facts about the target), but a changed
-  /// node space makes recorded node ids meaningless.
-  std::uint64_t hierarchy_fingerprint() const {
-    return hierarchy_fingerprint_;
-  }
+  /// node space makes recorded node ids meaningless. Computed on first use.
+  std::uint64_t hierarchy_fingerprint() const;
 
  private:
   CatalogSnapshot() = default;
 
   CatalogConfig config_;
   std::uint64_t epoch_ = 0;
-  std::uint64_t fingerprint_ = 0;
-  std::uint64_t hierarchy_fingerprint_ = 0;
+  mutable std::once_flag fingerprint_once_;
+  mutable std::uint64_t fingerprint_ = 0;
+  mutable std::once_flag hierarchy_fingerprint_once_;
+  mutable std::uint64_t hierarchy_fingerprint_ = 0;
   std::map<std::string, std::unique_ptr<Policy>> policies_;
 };
 

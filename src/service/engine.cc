@@ -50,10 +50,22 @@ class EpochDrainWorker {
                std::shared_ptr<PlanCache> warm_source, bool sweep) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      pending_ = Job{std::move(cache), std::move(warm_source), sweep};
+      pending_ =
+          Job{std::move(cache), std::move(warm_source), sweep, pending_.digest};
       has_pending_ = true;
       generation_.fetch_add(1, std::memory_order_relaxed);
       drains_.fetch_add(1, std::memory_order_relaxed);
+    }
+    work_cv_.notify_all();
+  }
+
+  /// Has the next job compute the current snapshot's catalog digest first,
+  /// so a durable Open does not pay for it; cancels nothing.
+  void WarmDigest() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_.digest = true;
+      has_pending_ = true;
     }
     work_cv_.notify_all();
   }
@@ -94,6 +106,8 @@ class EpochDrainWorker {
     std::shared_ptr<PlanCache> cache;
     std::shared_ptr<PlanCache> warm_source;
     bool sweep = false;
+    /// Compute the snapshot's fingerprint() (durability is on).
+    bool digest = false;
   };
 
   bool Superseded(std::uint64_t generation) const {
@@ -111,7 +125,7 @@ class EpochDrainWorker {
         if (shutdown_) {
           return;  // abandon pending work; old epochs just stay pinned
         }
-        job = std::move(pending_);
+        job = std::exchange(pending_, Job{});
         has_pending_ = false;
         active_ = true;
         generation = generation_.load(std::memory_order_relaxed);
@@ -136,6 +150,12 @@ class EpochDrainWorker {
     engine_->CurrentEpochState(&snapshot, &current_cache);
     if (snapshot == nullptr) {
       return;
+    }
+    if (job.digest) {
+      (void)snapshot->fingerprint();
+      if (job.warm_source == nullptr && !job.sweep) {
+        return;  // a digest-only job is not a drain
+      }
     }
     target_epoch_.store(snapshot->epoch(), std::memory_order_relaxed);
 
@@ -504,6 +524,9 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> Engine::Publish(
     if (warm || sweep) {
       drain_->Enqueue(warm ? cache : nullptr, warm ? old_cache : nullptr,
                       sweep);
+    }
+    if (durable_.load(std::memory_order_acquire) != nullptr) {
+      drain_->WarmDigest();
     }
   } else {
     if (warm) {
@@ -1164,6 +1187,10 @@ Status Engine::EnableDurability(DurabilityOptions options) {
   AIGS_ASSIGN_OR_RETURN(durable_owner_,
                         DurableStore::Open(std::move(options), &scan));
   durable_.store(durable_owner_.get(), std::memory_order_release);
+  // Every durable Open logs the catalog digest; compute it off this thread.
+  if (drain_ != nullptr) {
+    drain_->WarmDigest();
+  }
   // Sessions opened before durability was enabled exist only in memory;
   // an immediate checkpoint makes them (and the id watermark) durable.
   std::lock_guard<std::mutex> checkpoint(checkpoint_mutex_);

@@ -1,17 +1,15 @@
 #include "tree/heavy_path.h"
 
-#include "tree/subtree_weights.h"
-
 namespace aigs {
 
 HeavyPathDecomposition HeavyPathDecomposition::BySize(const Tree& tree) {
-  const auto sizes = ComputeSubtreeSizes(tree);
-  return Build(tree, std::vector<Weight>(sizes.begin(), sizes.end()));
+  const std::vector<Weight> unit(tree.NumNodes(), 1);
+  return Build(tree, tree.SubtreeWeights(unit));
 }
 
 HeavyPathDecomposition HeavyPathDecomposition::ByWeight(
     const Tree& tree, const std::vector<Weight>& weights) {
-  return Build(tree, ComputeSubtreeWeights(tree, weights));
+  return Build(tree, tree.SubtreeWeights(weights));
 }
 
 HeavyPathDecomposition HeavyPathDecomposition::Build(

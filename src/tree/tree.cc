@@ -11,39 +11,21 @@ StatusOr<Tree> Tree::Build(const Digraph& g) {
   if (!g.IsTree()) {
     return Status::InvalidArgument("graph is not a rooted tree");
   }
-  Tree t;
-  t.graph_ = &g;
-  const std::size_t n = g.NumNodes();
-  t.parent_.assign(n, kInvalidNode);
-  t.tin_.assign(n, 0);
-  t.tout_.assign(n, 0);
-  t.order_.reserve(n);
+  auto euler = std::make_unique<const ReachabilityIndex>(g);
+  Tree t(*euler);
+  t.owned_ = std::move(euler);
+  return t;
+}
 
-  // Iterative preorder DFS.
-  std::uint32_t clock = 0;
-  std::vector<std::pair<NodeId, std::size_t>> stack;
-  stack.emplace_back(g.root(), 0);
-  t.tin_[g.root()] = clock++;
-  t.order_.push_back(g.root());
-  while (!stack.empty()) {
-    auto& [u, next_child] = stack.back();
-    const auto children = g.Children(u);
-    if (next_child < children.size()) {
-      const NodeId c = children[next_child++];
-      t.parent_[c] = u;
-      t.tin_[c] = clock++;
-      t.order_.push_back(c);
-      stack.emplace_back(c, 0);
-    } else {
-      t.tout_[u] = clock;
-      stack.pop_back();
+Tree::Tree(const ReachabilityIndex& euler)
+    : euler_(&euler), parent_(euler.graph().NumNodes(), kInvalidNode) {
+  AIGS_CHECK(euler.euler_mode());
+  const Digraph& g = euler.graph();
+  for (NodeId v = 0; v < parent_.size(); ++v) {
+    if (v != g.root()) {
+      parent_[v] = g.Parents(v)[0];
     }
   }
-  if (t.order_.size() != n) {
-    return Status::InvalidArgument("tree is not connected");
-  }
-
-  return t;
 }
 
 NodeId Tree::Lca(NodeId u, NodeId v) const {

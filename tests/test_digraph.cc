@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "data/builtin.h"
+#include "util/rng.h"
 
 namespace aigs {
 namespace {
@@ -234,6 +239,125 @@ TEST(Digraph, VehicleHierarchyStats) {
   EXPECT_EQ(g.Height(), 3);
   EXPECT_EQ(g.MaxOutDegree(), 3u);
   EXPECT_EQ(g.Label(g.root()), "Vehicle");
+}
+
+TEST(Digraph, DuplicateEdgeReportedBeforeCycle) {
+  // 1 -> 2 -> 3 -> 1 is a cycle and 0 -> 1 is added twice: the duplicate
+  // scan runs first, so its message wins and the graph stays unfinalized.
+  Digraph g;
+  g.AddNodes(4);
+  g.AddEdge(0, 1);
+  g.AddEdge(1, 2);
+  g.AddEdge(2, 3);
+  g.AddEdge(3, 1);
+  g.AddEdge(0, 1);
+  const Status st = g.Finalize();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.message(), "duplicate edge 0 -> 1");
+  EXPECT_FALSE(g.finalized());
+  EXPECT_EQ(g.NumEdges(), 5u);
+
+  // Without a source node the duplicate is still the reported fault.
+  Digraph loop;
+  loop.AddNodes(2);
+  loop.AddEdge(0, 1);
+  loop.AddEdge(1, 0);
+  loop.AddEdge(1, 0);
+  EXPECT_EQ(loop.Finalize().message(), "duplicate edge 1 -> 0");
+}
+
+// Fused Finalize statistics against brute force over the edge list, on
+// random DAGs with shuffled ids and edge order (several sources each, so the
+// dummy root is exercised too).
+TEST(Digraph, FusedFinalizeMatchesBruteForceOnRandomDags) {
+  std::size_t non_trees = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 20 + rng.UniformInt(60);
+    // Rank r lives at node label[r]; edges run from lower to higher rank.
+    std::vector<NodeId> label(n);
+    for (NodeId r = 0; r < n; ++r) {
+      label[r] = r;
+    }
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(label[i - 1], label[rng.UniformInt(i)]);
+    }
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    const bool tree_like = seed % 3 == 0;
+    for (NodeId r = 1; r < n; ++r) {
+      if (r % 7 == 0) {
+        continue;  // an extra source
+      }
+      std::vector<NodeId> parents{static_cast<NodeId>(rng.UniformInt(r))};
+      if (!tree_like && rng.UniformInt(3) == 0) {
+        const auto extra = static_cast<NodeId>(rng.UniformInt(r));
+        if (extra != parents[0]) {
+          parents.push_back(extra);
+        }
+      }
+      for (const NodeId p : parents) {
+        edges.emplace_back(label[p], label[r]);
+      }
+    }
+    for (std::size_t i = edges.size(); i > 1; --i) {
+      std::swap(edges[i - 1], edges[rng.UniformInt(i)]);
+    }
+
+    Digraph g;
+    g.AddNodes(n);
+    for (const auto& [u, v] : edges) {
+      g.AddEdge(u, v);
+    }
+    ASSERT_TRUE(g.Finalize().ok()) << seed;
+
+    // Brute force on the same edges plus the dummy root's.
+    std::vector<std::size_t> in_degree(n, 0);
+    for (const auto& e : edges) {
+      ++in_degree[e.second];
+    }
+    std::size_t total = n;
+    const auto sources = static_cast<std::size_t>(
+        std::count(in_degree.begin(), in_degree.end(), 0u));
+    if (sources > 1) {
+      for (NodeId v = 0; v < n; ++v) {
+        if (in_degree[v] == 0) {
+          edges.emplace_back(static_cast<NodeId>(n), v);
+        }
+      }
+      ++total;
+    }
+    ASSERT_EQ(g.NumNodes(), total);
+    EXPECT_EQ(g.NumEdges(), edges.size());
+    std::vector<int> depth(total, 0);
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (const auto& [u, v] : edges) {
+        if (depth[v] < depth[u] + 1) {
+          depth[v] = depth[u] + 1;
+          changed = true;
+        }
+      }
+    }
+    std::vector<std::size_t> out(total, 0);
+    std::vector<std::size_t> in(total, 0);
+    for (const auto& [u, v] : edges) {
+      ++out[u];
+      ++in[v];
+    }
+    bool is_tree = true;
+    for (NodeId v = 0; v < total; ++v) {
+      EXPECT_EQ(g.Depth(v), depth[v]) << seed << " node " << v;
+      is_tree = is_tree && (v == g.root() ? in[v] == 0 : in[v] == 1);
+    }
+    EXPECT_EQ(g.Height(), *std::max_element(depth.begin(), depth.end()));
+    EXPECT_EQ(g.MaxOutDegree(), *std::max_element(out.begin(), out.end()));
+    EXPECT_EQ(g.IsTree(), is_tree) << seed;
+    if (tree_like) {
+      EXPECT_TRUE(g.IsTree()) << seed;
+    }
+    non_trees += g.IsTree() ? 0 : 1;
+  }
+  EXPECT_GT(non_trees, 0u);
 }
 
 TEST(Digraph, FinalizeTwiceFails) {

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "graph/generators.h"
-#include "tree/subtree_weights.h"
 #include "util/rng.h"
 
 namespace aigs {
@@ -115,7 +114,7 @@ TEST(HeavyPath, WeightedHeavyChildMaximizesSubtreeWeight) {
     w = rng.UniformInt(1000);
   }
   const auto hpd = HeavyPathDecomposition::ByWeight(*tree, weights);
-  const auto subtree = ComputeSubtreeWeights(*tree, weights);
+  const auto subtree = tree->SubtreeWeights(weights);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     const NodeId heavy = hpd.HeavyChild(v);
     for (const NodeId c : tree->Children(v)) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/aigs.h"
+#include "data/datasets.h"
 #include "eval/evaluator.h"
 #include "eval/runner.h"
 #include "graph/generators.h"
@@ -198,6 +199,72 @@ TEST(SessionCodecRoundTrip, RejectsMalformedInput) {
 }
 
 // ---- (3) Status rejections instead of aborts -------------------------------
+
+// ---- catalog digests -------------------------------------------------------
+
+std::shared_ptr<const CatalogSnapshot> GreedySnapshot(const Dataset& d) {
+  CatalogConfig config;
+  config.hierarchy = UnownedHierarchy(d.hierarchy);
+  config.distribution = d.real_distribution;
+  config.policy_specs = {"greedy"};
+  auto snapshot = CatalogSnapshot::Build(std::move(config), 1);
+  AIGS_CHECK(snapshot.ok());
+  return *std::move(snapshot);
+}
+
+// Saved blobs and WAL records carry these digests; a change to the hash or
+// to the hierarchy's edge order would strand every stored session.
+TEST(CatalogDigest, GoldenFingerprintsArePinned) {
+  const struct {
+    Dataset dataset;
+    std::uint64_t fingerprint;
+    std::uint64_t hierarchy_fingerprint;
+  } cases[] = {
+      {MakeAmazonDataset(0.05), 0xAB9A5663B6414A1FULL, 0xB8AF1F0A04FEA748ULL},
+      {MakeAmazonDataset(1.0), 0x0196177E90B32B70ULL, 0x8393FBD1B265FA49ULL},
+      {MakeImageNetDataset(0.05), 0x8373C771E8F0CA6CULL,
+       0xFD4143D5BD26DA2BULL},
+      {MakeImageNetDataset(1.0), 0x71FA9860E67C4372ULL,
+       0xCBFC453CA8C48F93ULL},
+  };
+  for (const auto& c : cases) {
+    const auto snapshot = GreedySnapshot(c.dataset);
+    EXPECT_EQ(snapshot->fingerprint(), c.fingerprint) << c.dataset.name;
+    EXPECT_EQ(snapshot->hierarchy_fingerprint(), c.hierarchy_fingerprint)
+        << c.dataset.name;
+  }
+}
+
+TEST(CatalogDigest, ConcurrentFirstUseAgreesOnOneValue) {
+  const Dataset d = MakeAmazonDataset(0.05);
+  for (int round = 0; round < 4; ++round) {
+    const auto snapshot = GreedySnapshot(d);
+    std::atomic<bool> go{false};
+    std::vector<std::uint64_t> seen(8, 0);
+    std::vector<std::uint64_t> seen_hierarchy(8, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        // Half the threads race on the hierarchy digest first.
+        if (t % 2 == 1) {
+          seen_hierarchy[t] = snapshot->hierarchy_fingerprint();
+        }
+        seen[t] = snapshot->fingerprint();
+        seen_hierarchy[t] = snapshot->hierarchy_fingerprint();
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    for (std::size_t t = 0; t < seen.size(); ++t) {
+      EXPECT_EQ(seen[t], 0xAB9A5663B6414A1FULL) << t;
+      EXPECT_EQ(seen_hierarchy[t], 0xB8AF1F0A04FEA748ULL) << t;
+    }
+  }
+}
 
 TEST(EngineAnswers, MismatchedAnswerKindIsRejectedNotFatal) {
   const ServiceCase c = std::move(ServiceCases()[0]);  // tree

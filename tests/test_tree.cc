@@ -2,8 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hierarchy.h"
+#include "data/datasets.h"
 #include "graph/generators.h"
-#include "tree/subtree_weights.h"
 #include "util/rng.h"
 
 namespace aigs {
@@ -150,6 +151,109 @@ TEST(Tree, DeepChainNoStackOverflow) {
   EXPECT_EQ(tree->Depth(99999), 99999);
 }
 
+// Reference layout: a recursive-free preorder DFS over the graph's children
+// in insertion order, independent of the Euler index.
+struct ReferenceLayout {
+  std::vector<NodeId> parent;
+  std::vector<std::uint32_t> tin;
+  std::vector<std::uint32_t> tout;
+  std::vector<NodeId> order;
+};
+
+ReferenceLayout ReferenceDfs(const Digraph& g) {
+  const std::size_t n = g.NumNodes();
+  ReferenceLayout ref{std::vector<NodeId>(n, kInvalidNode),
+                      std::vector<std::uint32_t>(n, 0),
+                      std::vector<std::uint32_t>(n, 0),
+                      {}};
+  std::vector<std::pair<NodeId, std::size_t>> stack{{g.root(), 0}};
+  ref.tin[g.root()] = 0;
+  ref.order.push_back(g.root());
+  while (!stack.empty()) {
+    auto& [u, next] = stack.back();
+    const auto children = g.Children(u);
+    if (next < children.size()) {
+      const NodeId c = children[next++];
+      ref.parent[c] = u;
+      ref.tin[c] = static_cast<std::uint32_t>(ref.order.size());
+      ref.order.push_back(c);
+      stack.emplace_back(c, 0);
+    } else {
+      ref.tout[u] = static_cast<std::uint32_t>(ref.order.size());
+      stack.pop_back();
+    }
+  }
+  return ref;
+}
+
+void ExpectMatchesReference(const Tree& tree) {
+  const ReferenceLayout ref = ReferenceDfs(tree.graph());
+  const std::size_t n = tree.NumNodes();
+  ASSERT_EQ(ref.order.size(), n);
+  EXPECT_EQ(tree.Preorder(), ref.order);
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(tree.Parent(v), ref.parent[v]) << v;
+    EXPECT_EQ(tree.PreorderIndex(v), ref.tin[v]) << v;
+    EXPECT_EQ(tree.NodeAtPreorder(ref.tin[v]), v) << v;
+    EXPECT_EQ(tree.SubtreeSize(v), ref.tout[v] - ref.tin[v]) << v;
+  }
+  // InSubtree on a sample of pairs (all pairs for small trees).
+  const std::size_t step = n <= 200 ? 1 : n / 97;
+  for (NodeId a = 0; a < n; a += static_cast<NodeId>(step)) {
+    for (NodeId v = 0; v < n; ++v) {
+      const bool expected =
+          ref.tin[v] >= ref.tin[a] && ref.tin[v] < ref.tout[a];
+      ASSERT_EQ(tree.InSubtree(a, v), expected) << a << " " << v;
+    }
+  }
+}
+
+TEST(Tree, HierarchyViewMatchesReferenceDfsOnRandomTrees) {
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u, 15u}) {
+    Rng rng(seed);
+    auto h = Hierarchy::Build(RandomTree(150 + 40 * (seed % 4), rng, seed % 3));
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(h->is_tree());
+    EXPECT_TRUE(h->reach().euler_mode());
+    ExpectMatchesReference(h->tree());
+    // The view reads the hierarchy's own index: one preorder array.
+    EXPECT_EQ(&h->tree().Preorder(), &h->reach().EulerOrder());
+  }
+}
+
+TEST(Tree, HierarchyViewMatchesReferenceDfsOnAmazon) {
+  const Dataset d = MakeAmazonDataset(0.05);
+  ASSERT_TRUE(d.hierarchy.is_tree());
+  ExpectMatchesReference(d.hierarchy.tree());
+}
+
+TEST(Tree, ForcedClosureTreeKeepsItsOwnEulerIndex) {
+  ReachabilityOptions options;
+  options.force_closure_on_trees = true;
+  for (const auto closure : {ReachabilityOptions::Closure::kCompressed,
+                             ReachabilityOptions::Closure::kDense}) {
+    options.closure = closure;
+    Rng rng(16);
+    auto h = Hierarchy::Build(RandomTree(300, rng), options);
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(h->is_tree());
+    EXPECT_FALSE(h->reach().euler_mode());
+    ExpectMatchesReference(h->tree());
+    for (NodeId v = 0; v < h->NumNodes(); ++v) {
+      EXPECT_EQ(h->tree().SubtreeSize(v), h->reach().ReachableCount(v));
+    }
+  }
+}
+
+TEST(Tree, StandaloneBuildOutlivesMoves) {
+  Rng rng(17);
+  const Digraph g = RandomTree(120, rng);
+  auto built = Tree::Build(g);
+  ASSERT_TRUE(built.ok());
+  const Tree moved = *std::move(built);
+  ExpectMatchesReference(moved);
+}
+
 TEST(SubtreeWeights, MatchesBruteForce) {
   Rng rng(7);
   const Digraph g = RandomTree(60, rng);
@@ -159,7 +263,7 @@ TEST(SubtreeWeights, MatchesBruteForce) {
   for (auto& w : weights) {
     w = rng.UniformInt(50);
   }
-  const auto subtree = ComputeSubtreeWeights(*tree, weights);
+  const auto subtree = tree->SubtreeWeights(weights);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     Weight expected = 0;
     for (NodeId x = 0; x < g.NumNodes(); ++x) {
@@ -176,7 +280,8 @@ TEST(SubtreeWeights, SizesMatchTreeIndex) {
   const Digraph g = RandomTree(45, rng);
   auto tree = Tree::Build(g);
   ASSERT_TRUE(tree.ok());
-  const auto sizes = ComputeSubtreeSizes(*tree);
+  const std::vector<Weight> unit(g.NumNodes(), 1);
+  const auto sizes = tree->SubtreeWeights(unit);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
     EXPECT_EQ(sizes[v], tree->SubtreeSize(v));
   }
