@@ -77,9 +77,11 @@ TreeSkeleton BuildSkeleton(const CatalogParams& params, Rng& rng) {
   return s;
 }
 
-Digraph SkeletonToGraph(const TreeSkeleton& s) {
+/// The skeleton's tree edges, with room reserved for `extra_edges` more.
+Digraph SkeletonToGraph(const TreeSkeleton& s, std::size_t extra_edges = 0) {
   Digraph g;
   g.AddNodes(s.parent.size());
+  g.ReserveEdges(s.parent.size() - 1 + extra_edges);
   for (NodeId v = 1; v < s.parent.size(); ++v) {
     g.AddEdge(s.parent[v], v);
   }
@@ -124,8 +126,8 @@ CatalogParams BigCatalogParams(std::size_t num_nodes) {
 
 Digraph GenerateCatalogTree(const CatalogParams& params) {
   Rng rng(params.seed);
-  const TreeSkeleton s = BuildSkeleton(params, rng);
-  Digraph g = SkeletonToGraph(s);
+  // The skeleton is freed before Finalize allocates the CSR arrays.
+  Digraph g = SkeletonToGraph(BuildSkeleton(params, rng));
   AIGS_CHECK(g.Finalize().ok());
   AIGS_CHECK(g.IsTree());
   AIGS_CHECK(g.NumNodes() == params.num_nodes);
@@ -137,18 +139,18 @@ Digraph GenerateCatalogTree(const CatalogParams& params) {
 Digraph GenerateCatalogDag(const CatalogParams& params) {
   Rng rng(params.seed);
   const TreeSkeleton s = BuildSkeleton(params, rng);
-  Digraph g = SkeletonToGraph(s);
+  const std::size_t n = params.num_nodes;
+  const auto extra = static_cast<std::size_t>(
+      params.extra_parent_frac * static_cast<double>(n));
+  Digraph g = SkeletonToGraph(s, extra);
 
   // Extra parents: edges always point from a strictly shallower tree depth
   // to a deeper one, so every path's tree depth strictly increases — the
   // result is acyclic and the longest path still equals the tree height.
-  const std::size_t n = params.num_nodes;
   std::vector<std::size_t> out_degree(n, 0);
   for (NodeId v = 1; v < n; ++v) {
     ++out_degree[s.parent[v]];
   }
-  const auto extra = static_cast<std::size_t>(
-      params.extra_parent_frac * static_cast<double>(n));
   // Extra edges drawn so far; tree edges never need a lookup because
   // `u == s.parent[v]` rejects them before the set is consulted.
   std::unordered_set<std::uint64_t> edges;

@@ -80,23 +80,30 @@ Status Digraph::Finalize(bool add_dummy_root) {
   // One 32-bit word per node, plus room for a dummy root.
   std::vector<NodeId> scratch(num_nodes_ + 1, kInvalidNode);
 
-  // Reject duplicate edges: scanning parents in increasing order and marking
-  // each child with the last parent seen, the first repeat found under the
-  // smallest such parent is — after taking the smallest child — the smallest
-  // duplicate pair.
-  for (NodeId u = 0; u < num_nodes_; ++u) {
-    NodeId duplicate = kInvalidNode;
-    for (std::size_t i = child_offsets_[u]; i < child_offsets_[u + 1]; ++i) {
-      const NodeId c = children_[i];
-      if (scratch[c] == u) {
-        duplicate = std::min(duplicate, c);
+  // Reject duplicate edges. A duplicate u -> c lists u twice among c's
+  // parents, so only nodes with two or more parents are scanned (none in a
+  // tree): marking each parent with the last child whose list named it, a
+  // repeat is a duplicate, and the smallest (parent, child) pair is kept.
+  NodeId dup_parent = kInvalidNode;
+  NodeId dup_child = kInvalidNode;
+  for (NodeId c = 0; c < num_nodes_; ++c) {
+    if (parent_offsets_[c + 1] - parent_offsets_[c] < 2) {
+      continue;
+    }
+    for (std::size_t i = parent_offsets_[c]; i < parent_offsets_[c + 1];
+         ++i) {
+      const NodeId u = parents_[i];
+      if (scratch[u] == c && u < dup_parent) {
+        dup_parent = u;
+        dup_child = c;
       }
-      scratch[c] = u;
+      scratch[u] = c;
     }
-    if (duplicate != kInvalidNode) {
-      return Status::InvalidArgument("duplicate edge " + std::to_string(u) +
-                                     " -> " + std::to_string(duplicate));
-    }
+  }
+  if (dup_parent != kInvalidNode) {
+    return Status::InvalidArgument("duplicate edge " +
+                                   std::to_string(dup_parent) + " -> " +
+                                   std::to_string(dup_child));
   }
 
   // Kahn's topological sort, using topo_order_ itself as the FIFO queue and

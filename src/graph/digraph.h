@@ -35,6 +35,9 @@ class Digraph {
   /// Adds the directed edge parent -> child. Both ids must exist.
   void AddEdge(NodeId parent, NodeId child);
 
+  /// Reserves room for `count` edges in total before Finalize.
+  void ReserveEdges(std::size_t count) { edges_.reserve(count); }
+
   /// Validates (acyclic, at least one node, no duplicate edges) and freezes
   /// the graph: builds CSR adjacency, then one Kahn pass yields the
   /// topological order, depth array, height, maximum out-degree and tree

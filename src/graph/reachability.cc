@@ -33,26 +33,28 @@ void ReachabilityIndex::BuildEuler() {
   tout_.assign(n, 0);
   euler_to_node_.assign(n, kInvalidNode);
 
-  // Iterative DFS (hierarchies can be deep; no recursion).
-  std::uint32_t clock = 0;
-  std::vector<std::pair<NodeId, std::size_t>> stack;  // (node, child index)
-  stack.emplace_back(g.root(), 0);
-  tin_[g.root()] = clock;
-  euler_to_node_[clock++] = g.root();
-  while (!stack.empty()) {
-    auto& [u, next_child] = stack.back();
-    const auto children = g.Children(u);
-    if (next_child < children.size()) {
-      const NodeId c = children[next_child++];
-      tin_[c] = clock;
-      euler_to_node_[clock++] = c;
-      stack.emplace_back(c, 0);
-    } else {
-      tout_[u] = clock;
-      stack.pop_back();
+  // Preorder positions without a DFS stack: subtree sizes accumulate child
+  // to parent in reverse topological order, then each node hands its
+  // children consecutive position ranges in child order, as a DFS would.
+  const std::vector<NodeId>& topo = g.TopologicalOrder();
+  for (std::size_t t = n; t-- > 0;) {
+    const NodeId v = topo[t];
+    ++tout_[v];  // tout_ holds the subtree size until the last pass
+    if (const auto parents = g.Parents(v); !parents.empty()) {
+      tout_[parents.front()] += tout_[v];
     }
   }
-  AIGS_CHECK(clock == n);
+  for (const NodeId u : topo) {
+    std::uint32_t next = tin_[u] + 1;
+    for (const NodeId c : g.Children(u)) {
+      tin_[c] = next;
+      next += tout_[c];
+    }
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    euler_to_node_[tin_[v]] = v;
+    tout_[v] += tin_[v];
+  }
 }
 
 void ReachabilityIndex::BuildClosure(const ReachabilityOptions& options) {

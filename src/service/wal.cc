@@ -98,8 +98,12 @@ WalWriter::WalWriter(std::string path, int fd, std::uint64_t bytes,
 WalWriter::~WalWriter() {
   if (fd_ >= 0) {
     // Best-effort flush so a graceful destruction loses nothing even under
-    // kInterval/kNone; a crash is the WAL's job, not the destructor's.
-    ::fsync(fd_);
+    // kInterval/kNone; a crash is the WAL's job, not the destructor's. A
+    // writer whose records are all synced (a rotated-out segment, a
+    // checkpoint file after its Sync) skips the redundant fsync.
+    if (appended_records_ > synced_records_) {
+      ::fsync(fd_);
+    }
     ::close(fd_);
   }
 }

@@ -11,10 +11,6 @@ std::uint64_t SplitMix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t Rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 void Rng::Seed(std::uint64_t seed) {
@@ -26,35 +22,6 @@ void Rng::Seed(std::uint64_t seed) {
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) {
     state_[0] = 0x9E3779B97F4A7C15ULL;
   }
-}
-
-std::uint64_t Rng::Next() {
-  const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::UniformInt(std::uint64_t bound) {
-  AIGS_DCHECK(bound > 0);
-  // Lemire's method: multiply-shift with rejection to remove modulo bias.
-  std::uint64_t x = Next();
-  U128 m = static_cast<U128>(x) * static_cast<U128>(bound);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = Next();
-      m = static_cast<U128>(x) * static_cast<U128>(bound);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 }  // namespace aigs

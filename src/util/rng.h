@@ -22,11 +22,37 @@ class Rng {
   void Seed(std::uint64_t seed);
 
   /// Next raw 64-bit output.
-  std::uint64_t Next();
+  std::uint64_t Next() {
+    const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform integer in [0, bound). bound must be > 0. Uses Lemire's
-  /// nearly-divisionless unbiased method.
-  std::uint64_t UniformInt(std::uint64_t bound);
+  /// nearly-divisionless unbiased method. Defined here, like Next(), so
+  /// per-draw loops (catalog generation, shuffles) inline both.
+  std::uint64_t UniformInt(std::uint64_t bound) {
+    AIGS_DCHECK(bound > 0);
+    // Lemire's method: multiply-shift with rejection to remove modulo bias.
+    std::uint64_t x = Next();
+    U128 m = static_cast<U128>(x) * static_cast<U128>(bound);
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        x = Next();
+        m = static_cast<U128>(x) * static_cast<U128>(bound);
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t UniformIntInclusive(std::int64_t lo, std::int64_t hi) {
@@ -69,6 +95,10 @@ class Rng {
   Rng Fork() { return Rng(Next() ^ 0xD1B54A32D192ED03ULL); }
 
  private:
+  static std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t state_[4];
 };
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+
+#include "graph/graph_io.h"
 #include "prob/weight_io.h"
 #include "tests/test_support.h"
 
@@ -82,6 +87,48 @@ TEST(DatasetIo, LoadRejectsMismatchedSizes) {
 
 TEST(DatasetIo, LoadMissingFilesFails) {
   EXPECT_FALSE(LoadDatasetFiles("none", "/nonexistent/prefix").ok());
+}
+
+// With both files bad, the error reported is the hierarchy's; then the
+// counts file's; then the size check.
+TEST(DatasetIo, LoadKeepsErrorPrecedence) {
+  const std::string prefix = ::testing::TempDir() + "/aigs_precedence";
+  const std::string hierarchy_path = prefix + ".hierarchy.txt";
+  const std::string counts_path = prefix + ".counts.txt";
+  const auto write = [](const std::string& path, const std::string& text) {
+    std::ofstream(path) << text;
+  };
+  const auto load_error = [&] {
+    auto loaded = LoadDatasetFiles("bad", prefix);
+    EXPECT_FALSE(loaded.ok());
+    return loaded.status().ToString();
+  };
+
+  // Hierarchy file missing, counts unparsable.
+  std::remove(hierarchy_path.c_str());
+  write(counts_path, "n 3\nc 0 many\n");
+  EXPECT_EQ(load_error(), LoadHierarchy(hierarchy_path).status().ToString());
+  EXPECT_NE(load_error(), LoadDistribution(counts_path).status().ToString());
+
+  // Hierarchy with a cycle, counts unparsable.
+  write(hierarchy_path, "n 3\ne 0 1\ne 1 2\ne 2 1\n");
+  ASSERT_FALSE(LoadHierarchy(hierarchy_path).ok());
+  EXPECT_EQ(load_error(), LoadHierarchy(hierarchy_path).status().ToString());
+
+  // Hierarchy fine, counts unparsable.
+  write(hierarchy_path, "n 3\ne 0 1\ne 0 2\n");
+  EXPECT_EQ(load_error(), LoadDistribution(counts_path).status().ToString());
+
+  // Both parse, sizes differ.
+  write(counts_path, "n 4\nc 0 1\n");
+  EXPECT_NE(load_error().find("count file covers 4 nodes but the hierarchy "
+                              "has 3"),
+            std::string::npos);
+
+  write(counts_path, "n 3\nc 0 1\nc 2 5\n");
+  auto loaded = LoadDatasetFiles("good", prefix);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->num_objects, 6u);
 }
 
 }  // namespace

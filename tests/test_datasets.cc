@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <numeric>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "data/synthetic_catalog.h"
+#include "tests/test_support.h"
 #include "util/rng.h"
 
 namespace aigs {
@@ -205,11 +209,60 @@ std::uint64_t CatalogDigest(const Dataset& d) {
 // Golden digests of the shipped datasets: the catalogs every bench,
 // baseline and transcript is pinned to. A generator or graph-construction
 // change that alters any edge, edge order or object count fails here.
-TEST(Datasets, GoldenDigestsArePinned) {
-  EXPECT_EQ(CatalogDigest(MakeAmazonDataset(1.0)), 0x0196177E90B32B70ULL);
-  EXPECT_EQ(CatalogDigest(MakeAmazonDataset(0.05)), 0xAB9A5663B6414A1FULL);
-  EXPECT_EQ(CatalogDigest(MakeImageNetDataset(1.0)), 0x71FA9860E67C4372ULL);
-  EXPECT_EQ(CatalogDigest(MakeImageNetDataset(0.05)), 0x8373C771E8F0CA6CULL);
+struct GoldenDataset {
+  Dataset (*make)(double, const ReachabilityOptions&);
+  double scale;
+  std::uint64_t digest;
+};
+constexpr GoldenDataset kGoldenDatasets[] = {
+    {&MakeAmazonDataset, 1.0, 0x0196177E90B32B70ULL},
+    {&MakeAmazonDataset, 0.05, 0xAB9A5663B6414A1FULL},
+    {&MakeImageNetDataset, 1.0, 0x71FA9860E67C4372ULL},
+    {&MakeImageNetDataset, 0.05, 0x8373C771E8F0CA6CULL},
+};
+
+void ExpectGoldenDigests() {
+  for (const GoldenDataset& golden : kGoldenDatasets) {
+    EXPECT_EQ(CatalogDigest(golden.make(golden.scale, {})), golden.digest)
+        << "scale " << golden.scale;
+  }
+}
+
+TEST(Datasets, GoldenDigestsArePinned) { ExpectGoldenDigests(); }
+
+// The object counts are computed beside the hierarchy on a second CPU;
+// with one CPU allowed they run inline. Both must give the same catalogs.
+TEST(Datasets, GoldenDigestsHoldUnderAOneCpuMask) {
+  testing::ScopedOneCpuMask one_cpu;
+  if (!one_cpu.pinned()) {
+    GTEST_SKIP() << "cannot set a one-CPU affinity mask here";
+  }
+  ExpectGoldenDigests();
+}
+
+TEST(Datasets, GoldenDigestsHoldWhenBuiltConcurrently) {
+  constexpr int kThreads = 4;
+  std::vector<std::uint64_t> digests(kThreads * std::size(kGoldenDatasets));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&digests, t] {
+      // Each thread walks the table from a different start.
+      for (std::size_t k = 0; k < std::size(kGoldenDatasets); ++k) {
+        const std::size_t d = (k + t) % std::size(kGoldenDatasets);
+        const GoldenDataset& golden = kGoldenDatasets[d];
+        digests[t * std::size(kGoldenDatasets) + d] =
+            CatalogDigest(golden.make(golden.scale, {}));
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  constexpr std::size_t kPerThread = std::size(kGoldenDatasets);
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    EXPECT_EQ(digests[i], kGoldenDatasets[i % kPerThread].digest)
+        << "thread " << i / kPerThread;
+  }
 }
 
 TEST(Datasets, DescribeMentionsKeyStatistics) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -358,6 +359,50 @@ TEST(Digraph, FusedFinalizeMatchesBruteForceOnRandomDags) {
     non_trees += g.IsTree() ? 0 : 1;
   }
   EXPECT_GT(non_trees, 0u);
+}
+
+// The duplicate scan visits only nodes with two or more parents; the pair
+// it reports must still be the smallest (parent, child) duplicate, found by
+// brute force over the edge list. Random multigraphs (some with cycles or
+// several sources) with 1–4 repeated edges each, added in shuffled order.
+TEST(Digraph, DuplicateEdgeMatchesBruteForceOnRandomMultigraphs) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const std::size_t n = 5 + rng.UniformInt(40);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (NodeId v = 1; v < n; ++v) {
+      edges.emplace_back(static_cast<NodeId>(rng.UniformInt(v)), v);
+      if (rng.UniformInt(4) == 0) {
+        const auto u = static_cast<NodeId>(rng.UniformInt(n));
+        if (u != v) {
+          edges.emplace_back(u, v);  // a second parent, maybe a back edge
+        }
+      }
+    }
+    const std::size_t repeats = 1 + rng.UniformInt(4);
+    for (std::size_t i = 0; i < repeats; ++i) {
+      edges.push_back(edges[rng.UniformInt(edges.size())]);
+    }
+    for (std::size_t i = edges.size(); i > 1; --i) {
+      std::swap(edges[i - 1], edges[rng.UniformInt(i)]);
+    }
+    std::vector<std::pair<NodeId, NodeId>> sorted = edges;
+    std::sort(sorted.begin(), sorted.end());
+    const auto first_repeat =
+        std::adjacent_find(sorted.begin(), sorted.end());
+    ASSERT_NE(first_repeat, sorted.end());
+
+    Digraph g;
+    g.AddNodes(n);
+    for (const auto& [u, v] : edges) {
+      g.AddEdge(u, v);
+    }
+    EXPECT_EQ(g.Finalize(/*add_dummy_root=*/seed % 2 == 0).message(),
+              "duplicate edge " + std::to_string(first_repeat->first) +
+                  " -> " + std::to_string(first_repeat->second))
+        << "seed " << seed;
+    EXPECT_FALSE(g.finalized());
+  }
 }
 
 TEST(Digraph, FinalizeTwiceFails) {

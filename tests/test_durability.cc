@@ -21,6 +21,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,6 +29,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eval/runner.h"
@@ -885,21 +887,44 @@ TEST(ConcurrentDurability, SaveAndCheckpointUnderAnswerTraffic) {
 
   std::atomic<bool> driving{true};
   std::atomic<std::uint64_t> saves{0};
+  // Saver passes that began once every driver had answered its first
+  // question and ended while a search was still running.
+  std::atomic<int> searching{kSessions};
+  std::atomic<std::uint64_t> saves_mid_search{0};
   std::vector<std::vector<std::string>> blobs(kSessions);
   std::mutex blobs_mu;
 
+  // Start gate: the drivers wait until each saver and the checkpointer has
+  // completed one pass, so saves overlap the searches instead of racing
+  // them to the finish (a fast search could end before any save did).
+  // After its first answer each driver also waits for one saver pass over
+  // the sessions mid-search: a checkpoint can hold the savers off for the
+  // whole of a ~1 ms search, so without it some runs save no session while
+  // it is being searched.
+  constexpr int kSavers = 2;
+  std::latch gate(kSavers + 1);
+  std::latch first_answers(kSessions);
   std::vector<std::thread> threads;
   // Drivers: one per session, full search to completion.
   for (int s = 0; s < kSessions; ++s) {
     threads.emplace_back([&, s] {
+      gate.wait();
       ExactOracle oracle(c.hierarchy.reach(), targets[s]);
+      AIGS_CHECK(!Drive(engine, ids[s], oracle, 1));
+      first_answers.count_down();
+      while (saves_mid_search.load() == 0) {
+        std::this_thread::yield();
+      }
       AIGS_CHECK(Drive(engine, ids[s], oracle, 1u << 20));
+      searching.fetch_sub(1);
     });
   }
   // Savers: snapshot every session as fast as they can.
-  for (int t = 0; t < 2; ++t) {
+  for (int t = 0; t < kSavers; ++t) {
     threads.emplace_back([&] {
+      bool first_pass = true;
       while (driving.load(std::memory_order_relaxed)) {
+        const bool mid_search = first_answers.try_wait();
         for (int s = 0; s < kSessions; ++s) {
           auto blob = engine.Save(ids[s]);
           if (blob.ok()) {
@@ -908,13 +933,23 @@ TEST(ConcurrentDurability, SaveAndCheckpointUnderAnswerTraffic) {
           }
         }
         saves.fetch_add(1, std::memory_order_relaxed);
+        if (mid_search && searching.load() > 0) {
+          saves_mid_search.fetch_add(1);
+        }
+        if (std::exchange(first_pass, false)) {
+          gate.count_down();
+        }
       }
     });
   }
   // Checkpointer: rotate the log under live traffic.
   threads.emplace_back([&] {
+    bool first_pass = true;
     while (driving.load(std::memory_order_relaxed)) {
       AIGS_CHECK(engine.Checkpoint().ok());
+      if (std::exchange(first_pass, false)) {
+        gate.count_down();
+      }
       std::this_thread::yield();
     }
   });
@@ -926,6 +961,7 @@ TEST(ConcurrentDurability, SaveAndCheckpointUnderAnswerTraffic) {
     threads[t].join();
   }
   EXPECT_GT(saves.load(), 0u);
+  EXPECT_GT(saves_mid_search.load(), 0u);
 
   // Every saved blob decodes and replays to a prefix of the final state.
   std::vector<std::vector<TranscriptStep>> finals;
@@ -937,6 +973,7 @@ TEST(ConcurrentDurability, SaveAndCheckpointUnderAnswerTraffic) {
     finals.push_back(decoded->steps);
   }
   for (int s = 0; s < kSessions; ++s) {
+    bool saved_mid_search = false;
     for (const std::string& blob : blobs[s]) {
       auto decoded = SessionCodec::Decode(blob);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -944,7 +981,11 @@ TEST(ConcurrentDurability, SaveAndCheckpointUnderAnswerTraffic) {
       EXPECT_TRUE(std::equal(decoded->steps.begin(), decoded->steps.end(),
                              finals[s].begin()))
           << "saved blob is not a prefix of session " << ids[s];
+      saved_mid_search |= !decoded->steps.empty() &&
+                          decoded->steps.size() < finals[s].size();
     }
+    EXPECT_TRUE(saved_mid_search)
+        << "no blob of session " << ids[s] << " was saved mid-search";
   }
 
   // And the durable state — checkpoints raced answers throughout — must

@@ -2,6 +2,8 @@
 #ifndef AIGS_TESTS_TEST_SUPPORT_H_
 #define AIGS_TESTS_TEST_SUPPORT_H_
 
+#include <sched.h>
+
 #include <memory>
 #include <vector>
 
@@ -53,6 +55,37 @@ inline double WeightedAverage(const std::vector<std::uint64_t>& costs,
   }
   return static_cast<double>(total / static_cast<long double>(dist.Total()));
 }
+
+/// Pins the calling thread to the CPU it is on for its lifetime and then
+/// restores the thread's mask, so code under test sees a one-CPU affinity
+/// mask. Threads the caller starts meanwhile inherit the one-CPU mask.
+class ScopedOneCpuMask {
+ public:
+  ScopedOneCpuMask() {
+    CPU_ZERO(&saved_);
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof(saved_), &saved_) != 0) {
+      return;
+    }
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~ScopedOneCpuMask() {
+    if (pinned_) {
+      sched_setaffinity(0, sizeof(saved_), &saved_);
+    }
+  }
+  ScopedOneCpuMask(const ScopedOneCpuMask&) = delete;
+  ScopedOneCpuMask& operator=(const ScopedOneCpuMask&) = delete;
+
+  bool pinned() const { return pinned_; }
+
+ private:
+  cpu_set_t saved_;
+  bool pinned_ = false;
+};
 
 }  // namespace aigs::testing
 

@@ -1,20 +1,24 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "tests/test_support.h"
 #include "util/ascii_table.h"
 #include "util/csv.h"
 #include "util/env.h"
 #include "util/epoch_marker.h"
 #include "util/node_map.h"
 #include "util/percentile.h"
+#include "util/run_beside.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -309,6 +313,118 @@ TEST(Percentile, UnsortedOverloadSortsACopy) {
   EXPECT_EQ(NearestRank(samples, 1.0), 9);
   // The caller's vector is untouched (passed by value).
   EXPECT_EQ(samples[0], 9);
+}
+
+// ---- RunBeside -------------------------------------------------------------
+
+int AllowedCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  return sched_getaffinity(0, sizeof(set), &set) == 0 ? CPU_COUNT(&set) : 1;
+}
+
+TEST(RunBeside, HelperIsPlacedOffTheCallersCpu) {
+  if (AllowedCpus() < 2) {
+    GTEST_SKIP() << "needs two allowed CPUs";
+  }
+  cpu_set_t caller;
+  CPU_ZERO(&caller);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(caller), &caller), 0);
+  std::atomic<bool> started{false};
+  int runs = 0;
+  std::thread::id ran_on;
+  cpu_set_t helper;
+  CPU_ZERO(&helper);
+  BesideTask task = RunBeside([&] {
+    started.store(true);
+    ++runs;
+    ran_on = std::this_thread::get_id();
+    sched_getaffinity(0, sizeof(helper), &helper);
+  });
+  // Once the helper has claimed the work, Join must wait for it, not rerun.
+  while (!started.load()) {
+    std::this_thread::yield();
+  }
+  task.Join();
+  EXPECT_EQ(runs, 1);
+  EXPECT_NE(ran_on, std::this_thread::get_id());
+  // The helper's mask is the caller's minus exactly one CPU.
+  EXPECT_EQ(CPU_COUNT(&helper), CPU_COUNT(&caller) - 1);
+  cpu_set_t both;
+  CPU_AND(&both, &helper, &caller);
+  EXPECT_TRUE(CPU_EQUAL(&both, &helper));
+}
+
+TEST(RunBeside, RunsExactlyOnceWhicheverSideClaims) {
+  // Joining at once mostly finds the work unclaimed (the caller runs it);
+  // joining after a short spin mostly finds the helper on it. Either way
+  // the work runs once per task.
+  std::vector<int> runs(200, 0);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    BesideTask task = RunBeside([&runs, i] { ++runs[i]; });
+    if (i % 2 == 1) {
+      WallTimer spin;
+      while (spin.ElapsedNanos() < 100'000) {
+      }
+    }
+    task.Join();
+    ASSERT_EQ(runs[i], 1) << i;
+    task.Join();  // a second Join does nothing
+    ASSERT_EQ(runs[i], 1) << i;
+  }
+}
+
+TEST(RunBeside, DestructorJoinsAndMovedFromHandleIsEmpty) {
+  std::atomic<int> runs{0};
+  {
+    BesideTask first = RunBeside([&] { runs.fetch_add(1); });
+    BesideTask second = std::move(first);
+    first.Join();  // NOLINT(bugprone-use-after-move): empty, does nothing
+  }
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(RunBeside, RunsInlineUnderAOneCpuMask) {
+  testing::ScopedOneCpuMask one_cpu;
+  if (!one_cpu.pinned()) {
+    GTEST_SKIP() << "cannot set a one-CPU affinity mask here";
+  }
+  int runs = 0;
+  std::thread::id ran_on;
+  BesideTask task = RunBeside([&] {
+    ++runs;
+    ran_on = std::this_thread::get_id();
+  });
+  // Inline means done before RunBeside returns, on the caller's thread.
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  task.Join();
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(RunBeside, ForwardsInlineExceptionsToTheCaller) {
+  testing::ScopedOneCpuMask one_cpu;
+  if (!one_cpu.pinned()) {
+    GTEST_SKIP() << "cannot set a one-CPU affinity mask here";
+  }
+  EXPECT_THROW(RunBeside([] { throw std::runtime_error("inline"); }),
+               std::runtime_error);
+}
+
+TEST(RunBeside, ForwardsHelperExceptionsToTheCaller) {
+  if (AllowedCpus() < 2) {
+    GTEST_SKIP() << "needs two allowed CPUs for the helper path";
+  }
+  std::atomic<bool> started{false};
+  BesideTask task = RunBeside([&] {
+    started.store(true);
+    throw std::runtime_error("helper");
+  });
+  while (!started.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_THROW(task.Join(), std::runtime_error);
+  task.Join();  // the error was handed over once
 }
 
 // ---- Timer -----------------------------------------------------------------
