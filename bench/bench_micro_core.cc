@@ -6,7 +6,6 @@
 #include "core/aigs.h"
 #include "core/batched_greedy.h"
 #include "core/middle_point.h"
-#include "core/reach_weight_index.h"
 #include "core/split_weight_index.h"
 #include "core/tree_weight_index.h"
 #include "data/synthetic_catalog.h"
@@ -99,15 +98,6 @@ void BM_SubtreeWeightInit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubtreeWeightInit);
-
-void BM_ReachWeightInit(benchmark::State& state) {
-  const Hierarchy& h = DagHierarchy();
-  for (auto _ : state) {
-    ReachWeightBase base(h, DagDist().weights());
-    benchmark::DoNotOptimize(base.Total());
-  }
-}
-BENCHMARK(BM_ReachWeightInit);
 
 void BM_MiddlePointNaiveScan(benchmark::State& state) {
   const Hierarchy& h = DagHierarchy();

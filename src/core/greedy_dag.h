@@ -5,16 +5,20 @@
 // only nodes v with 2·w̃(v) > w̃(r): any v with 2·w̃(v) ≤ w̃(r) dominates all
 // of its descendants (its split difference is no worse), so the search
 // prunes below it while still considering v itself — exactly the paper's
-// lines 4–11. Candidate updates use DagSearchState (corrected Algorithm 7).
+// lines 4–11. The first node discovered with the smallest split difference
+// wins. Session weights w̃(v) = w(R(v) ∩ C) come from SplitWeightIndex, so a
+// "no" answer is one row subtraction from the alive set instead of
+// Algorithm 7's reverse BFS per removed node.
 #ifndef AIGS_CORE_GREEDY_DAG_H_
 #define AIGS_CORE_GREEDY_DAG_H_
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/hierarchy.h"
 #include "core/policy.h"
-#include "core/reach_weight_index.h"
+#include "core/split_weight_index.h"
 #include "prob/distribution.h"
 #include "prob/rounding.h"
 
@@ -44,14 +48,12 @@ class GreedyDagPolicy : public Policy {
   std::string name() const override { return "GreedyDAG"; }
   std::unique_ptr<SearchSession> NewSession() const override;
 
-  /// Live weight access for the online-learning harness (raw-weight mode
-  /// only; do not mutate while sessions are in flight).
-  ReachWeightBase* mutable_base() { return &base_; }
-  const ReachWeightBase& base() const { return base_; }
-
  private:
   GreedyDagOptions options_;
-  ReachWeightBase base_;
+  std::vector<Weight> weights_;
+  // Shared immutable selection base over weights_; sessions are O(1)
+  // overlays over it.
+  SplitWeightBase base_;
 };
 
 }  // namespace aigs

@@ -1,5 +1,6 @@
 // SplitWeightIndex — the shared incremental selection layer behind the
-// middle-point policies (GreedyNaive, BatchedGreedy, CostSensitiveGreedy).
+// middle-point policies (GreedyNaive, BatchedGreedy, CostSensitiveGreedy)
+// and the DAG policies (GreedyDAG, WIGS-DAG).
 //
 // The naive selection rule recomputes w(R(v) ∩ C) with a fresh forward BFS
 // from every alive candidate on every pick: O(n·m) per question. This layer
@@ -96,10 +97,16 @@ class SplitWeightBase {
     return euler_prefix_[end] - euler_prefix_[begin];
   }
 
+  /// w(R(v)) over the full hierarchy (the pristine session's ReachWeight,
+  /// and an upper bound on every session's). Either mode.
+  Weight FullReachWeight(NodeId v) const {
+    return euler_ ? EulerRangeWeight(reach_->EulerBegin(v),
+                                     reach_->EulerEnd(v))
+                  : full_reach_weight_[v];
+  }
+
   // ---- closure mode --------------------------------------------------------
 
-  /// w(R(v)) over the full hierarchy (the pristine session's ReachWeight).
-  Weight FullReachWeight(NodeId v) const { return full_reach_weight_[v]; }
   /// Block-sum table over `weights` for the popcount kernels (dense mode).
   const BlockedWeights& blocked_weights() const { return blocked_; }
   /// Block-sum table over the position-permuted weights (compressed mode).
@@ -211,6 +218,36 @@ class SplitWeightIndex {
 
   // ---- selection ------------------------------------------------------------
 
+  /// Breadth-first descent from root() over alive nodes: calls expand(v)
+  /// once per alive node discovered (root excluded, in discovery order) and
+  /// continues below v only when it returns true. Every alive node is
+  /// reachable from root() through alive nodes, so an expand that always
+  /// returns true visits the whole candidate set. Runs on the index's
+  /// planner scratch (sized on first use): not reentrant.
+  template <typename Expand>
+  void DescendFromRoot(Expand&& expand) const {
+    const Digraph& g = base_->hierarchy().graph();
+    if (visited_.size() != g.NumNodes()) {
+      visited_.Resize(g.NumNodes());
+    }
+    visited_.NewEpoch();
+    queue_.clear();
+    queue_.push_back(root_);
+    visited_.Visit(root_);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const NodeId u = queue_[head];
+      for (const NodeId v : g.Children(u)) {
+        if (visited_.IsVisited(v) || !IsAlive(v)) {
+          continue;
+        }
+        visited_.Visit(v);
+        if (expand(v)) {
+          queue_.push_back(v);
+        }
+      }
+    }
+  }
+
   /// Middle point over alive candidates excluding root() (Definition 4),
   /// via the dominance-pruned descent. Requires AliveCount() > 1.
   MiddlePoint FindMiddlePoint() const;
@@ -231,9 +268,10 @@ class SplitWeightIndex {
   /// state untouched on failure:
   ///  * InvalidArgument when the answer would eliminate every candidate
   ///    (inconsistent with the transcript so far);
-  ///  * Unimplemented when q was already eliminated yet the answer still
+  ///  * Unimplemented for a yes on an already-eliminated q that still
   ///    splits the candidates (never produced by a genuine same-hierarchy
-  ///    transcript — the rooted descents cannot survive a dead root);
+  ///    transcript — the rooted descents cannot survive a dead root); a
+  ///    no on an eliminated q folds, since the root stays put;
   ///  * otherwise applies, moving the root only downward (ApplyYes rule).
   Status TryApplyObservedReach(NodeId q, bool yes);
   const Hierarchy& hierarchy() const { return base_->hierarchy(); }
@@ -285,8 +323,8 @@ class SplitWeightIndex {
   bool materialized_ = false;
   DynamicBitset alive_;
 
-  // Scratch for the dominance-pruned descent; sized lazily on first use so
-  // session construction stays O(1).
+  // Scratch for DescendFromRoot; sized lazily on first use so session
+  // construction stays O(1).
   mutable EpochMarker visited_;
   mutable std::vector<NodeId> queue_;
 };

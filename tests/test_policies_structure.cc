@@ -113,6 +113,48 @@ TEST(WigsDagOnDiamonds, HandlesMultiParentCandidates) {
             WeightedAverage(td_costs, equal) + 1e-9);
 }
 
+TEST(DagObservedFold, NoForEliminatedNodeThatSplitsFolds) {
+  // root(0)→a(1), root→b(2), a→c(3), b→c, a→d(4). After yes on a the
+  // candidates are {a, c, d}; b is eliminated but R(b) ∩ C = {c}, so an
+  // observed no on b is a true fact that still splits the candidates. Both
+  // DAG policies fold it to {a, d}: one question (d) remains.
+  Digraph g;
+  g.AddNodes(5);
+  g.AddEdge(0, 1);
+  g.AddEdge(0, 2);
+  g.AddEdge(1, 3);
+  g.AddEdge(2, 3);
+  g.AddEdge(1, 4);
+  const Hierarchy h = MustBuild(std::move(g));
+  ASSERT_FALSE(h.is_tree());
+  const Distribution equal = EqualDistribution(h.NumNodes());
+  const GreedyDagPolicy greedy(h, equal);
+  const WigsDagPolicy wigs(h);
+  for (const Policy* policy : {static_cast<const Policy*>(&greedy),
+                               static_cast<const Policy*>(&wigs)}) {
+    for (const NodeId target : {NodeId{1}, NodeId{4}}) {
+      SCOPED_TRACE(policy->name() + " target " + std::to_string(target));
+      auto session = policy->NewSession();
+      TranscriptStep yes_a;
+      yes_a.kind = Query::Kind::kReach;
+      yes_a.nodes = {1};
+      yes_a.yes = true;
+      ASSERT_TRUE(session->TryApplyObserved(yes_a).ok());
+      TranscriptStep no_b = yes_a;
+      no_b.nodes = {2};
+      no_b.yes = false;
+      ASSERT_TRUE(session->TryApplyObserved(no_b).ok());
+      const Query q = session->Next();
+      ASSERT_EQ(q.kind, Query::Kind::kReach);
+      ASSERT_EQ(q.node, NodeId{4});
+      session->OnReach(4, target == 4);
+      const Query done = session->Next();
+      ASSERT_EQ(done.kind, Query::Kind::kDone);
+      EXPECT_EQ(done.node, target);
+    }
+  }
+}
+
 TEST(Facades, DispatchOnHierarchyKind) {
   Rng rng(1);
   const Hierarchy tree = MustBuild(RandomTree(20, rng));

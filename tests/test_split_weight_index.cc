@@ -96,7 +96,13 @@ void CheckStateAgainstBruteForce(const Hierarchy& h,
   std::set<NodeId> alive;
   for (NodeId v = 0; v < h.NumNodes(); ++v) {
     alive.insert(v);
+    // Pristine: every session weight is the base's full reach weight (in
+    // Euler mode too, where it is a prefix-sum window).
+    const Weight full = h.reach().WeightOfReachableSet(v, weights);
+    ASSERT_EQ(base.FullReachWeight(v), full) << "node " << v;
+    ASSERT_EQ(index.ReachWeight(v), full) << "node " << v;
   }
+  ASSERT_EQ(base.Total(), base.FullReachWeight(h.root()));
   for (int step = 0; step < 12 && alive.size() > 1; ++step) {
     // Any node may be asked about — including an already-dead one when
     // simulating a batched round's later answers.

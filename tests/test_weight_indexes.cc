@@ -3,11 +3,12 @@
 // efficient policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/hierarchy.h"
 #include "core/middle_point.h"
-#include "core/reach_weight_index.h"
+#include "core/split_weight_index.h"
 #include "core/tree_weight_index.h"
 #include "graph/generators.h"
 #include "tests/test_support.h"
@@ -115,138 +116,68 @@ TEST(TreeSearchState, OverlayMatchesScratchRecomputation) {
   }
 }
 
-// ---- ReachWeightBase / DagSearchState ----------------------------------------
-
-TEST(ReachWeightBase, MatchesReachabilityIndex) {
-  Rng rng(4);
-  const Hierarchy h = MustBuild(RandomDag(40, rng, 0.5));
-  const auto weights = RandomWeights(40, rng);
-  const ReachWeightBase base(h, weights);
-  for (NodeId v = 0; v < 40; ++v) {
-    EXPECT_EQ(base.ReachWeight(v),
-              h.reach().WeightOfReachableSet(v, weights));
-  }
-  EXPECT_EQ(base.Total(), base.ReachWeight(h.root()));
-}
-
-TEST(ReachWeightBase, AddWeightMatchesRecomputation) {
-  Rng rng(5);
-  const Hierarchy h = MustBuild(RandomDag(35, rng, 0.6));
-  auto weights = RandomWeights(35, rng);
-  ReachWeightBase base(h, weights);
-  for (const NodeId v : {NodeId{3}, NodeId{17}, NodeId{34}}) {
-    base.AddWeight(v, 11);
-    weights[v] += 11;
-  }
-  const ReachWeightBase fresh(h, weights);
-  for (NodeId v = 0; v < 35; ++v) {
-    EXPECT_EQ(base.ReachWeight(v), fresh.ReachWeight(v)) << v;
-  }
-}
-
-TEST(DagSearchState, OverlayMatchesScratchRecomputation) {
-  Rng rng(6);
-  for (int round = 0; round < 20; ++round) {
-    const Hierarchy h = MustBuild(RandomDag(25, rng, 0.5));
-    const std::size_t n = h.NumNodes();
-    const auto weights = RandomWeights(n, rng);
-    const ReachWeightBase base(h, weights);
-    DagSearchState state(base);
-
-    std::set<NodeId> alive;
-    for (NodeId v = 0; v < n; ++v) {
-      alive.insert(v);
-    }
-    Rng steps(rng.Next());
-    for (int step = 0; step < 10 && alive.size() > 1; ++step) {
-      std::vector<NodeId> options;
-      for (const NodeId v : alive) {
-        if (v != state.root()) {
-          options.push_back(v);
-        }
-      }
-      const NodeId q =
-          options[static_cast<std::size_t>(steps.UniformInt(options.size()))];
-      if (steps.Bernoulli(0.5)) {
-        state.ApplyYes(q);
-        std::set<NodeId> next;
-        for (const NodeId v : alive) {
-          if (h.reach().Reaches(q, v)) {
-            next.insert(v);
-          }
-        }
-        alive = std::move(next);
-      } else {
-        state.ApplyNo(q);
-        for (auto it = alive.begin(); it != alive.end();) {
-          it = h.reach().Reaches(q, *it) ? alive.erase(it) : std::next(it);
-        }
-      }
-      // Session reach weights must equal Σ weights over R(v) ∩ alive.
-      Weight expected_total = 0;
-      for (const NodeId x : alive) {
-        expected_total += weights[x];
-      }
-      ASSERT_EQ(state.TotalAlive(), expected_total);
-      ASSERT_EQ(state.AliveCount(), alive.size());
-      for (const NodeId v : alive) {
-        Weight expected = 0;
-        for (const NodeId x : alive) {
-          if (h.reach().Reaches(v, x)) {
-            expected += weights[x];
-          }
-        }
-        ASSERT_EQ(state.ReachWeight(v), expected)
-            << "round " << round << " node " << v;
-      }
-    }
-  }
-}
-
-// ---- Differential: the two session kinds must agree on trees ----------------
+// ---- Differential: the tree layer and the split layer agree on trees -------
 
 TEST(SessionDifferential, TreeAndDagStatesAgreeOnTrees) {
-  // A tree is a DAG: for identical operation sequences, TreeSearchState's
-  // subtree weights and DagSearchState's reach weights must match exactly.
+  // For identical operation sequences, TreeSearchState's subtree weights
+  // must equal SplitWeightIndex's reach weights exactly — in Euler mode (the
+  // tree's default index) and in compressed-closure mode (the DAG layout,
+  // forced onto the same tree).
+  ReachabilityOptions compressed;
+  compressed.closure = ReachabilityOptions::Closure::kCompressed;
+  compressed.force_closure_on_trees = true;
   Rng rng(21);
   for (int round = 0; round < 15; ++round) {
-    const Hierarchy h = MustBuild(RandomTree(2 + rng.UniformInt(40), rng));
-    const std::size_t n = h.NumNodes();
+    const Digraph g = RandomTree(2 + rng.UniformInt(40), rng);
+    const std::size_t n = g.NumNodes();
     const auto weights = RandomWeights(n, rng);
-    const TreeWeightBase tree_base(h.tree(), weights);
-    const ReachWeightBase dag_base(h, weights);
-    TreeSearchState tree_state(tree_base);
-    DagSearchState dag_state(dag_base);
+    const std::uint64_t steps_seed = rng.Next();
+    for (const bool force_closure : {false, true}) {
+      SCOPED_TRACE(force_closure ? "compressed" : "euler");
+      auto built = Hierarchy::Build(Digraph(g), force_closure
+                                                    ? compressed
+                                                    : ReachabilityOptions{});
+      ASSERT_TRUE(built.ok());
+      const Hierarchy& h = *built;
+      ASSERT_EQ(h.reach().euler_mode(), !force_closure);
+      const TreeWeightBase tree_base(h.tree(), weights);
+      const SplitWeightBase split_base(h, weights);
+      TreeSearchState tree_state(tree_base);
+      SplitWeightIndex split_state(split_base);
 
-    Rng steps(rng.Next());
-    while (dag_state.AliveCount() > 1) {
-      // Pick any alive non-root node; both states see the same candidates.
-      std::vector<NodeId> options;
-      dag_state.candidates().bits().ForEachSetBit([&](std::size_t raw) {
-        if (static_cast<NodeId>(raw) != dag_state.root()) {
-          options.push_back(static_cast<NodeId>(raw));
+      Rng steps(steps_seed);
+      while (split_state.AliveCount() > 1) {
+        // Pick any alive non-root node; both states see the same
+        // candidates.
+        std::vector<NodeId> options;
+        split_state.ForEachAlive([&](NodeId v) {
+          if (v != split_state.root()) {
+            options.push_back(v);
+          }
+        });
+        std::sort(options.begin(), options.end());
+        const NodeId q = options[static_cast<std::size_t>(
+            steps.UniformInt(options.size()))];
+        if (steps.Bernoulli(0.5)) {
+          tree_state.ApplyYes(q);
+          split_state.ApplyYes(q);
+        } else {
+          tree_state.ApplyNo(q);
+          split_state.ApplyNo(q);
         }
-      });
-      const NodeId q =
-          options[static_cast<std::size_t>(steps.UniformInt(options.size()))];
-      if (steps.Bernoulli(0.5)) {
-        tree_state.ApplyYes(q);
-        dag_state.ApplyYes(q);
-      } else {
-        tree_state.ApplyNo(q);
-        dag_state.ApplyNo(q);
-      }
-      ASSERT_EQ(tree_state.root(), dag_state.root());
-      ASSERT_EQ(tree_state.CandidateCount(), dag_state.AliveCount());
-      ASSERT_EQ(tree_state.SubtreeWeight(tree_state.root()),
-                dag_state.TotalAlive());
-      dag_state.candidates().bits().ForEachSetBit([&](std::size_t raw) {
-        const NodeId v = static_cast<NodeId>(raw);
-        ASSERT_EQ(tree_state.SubtreeWeight(v), dag_state.ReachWeight(v))
-            << "node " << v;
-      });
-      if (steps.UniformInt(4) == 0) {
-        break;  // vary sequence lengths
+        ASSERT_EQ(tree_state.root(), split_state.root());
+        ASSERT_EQ(tree_state.CandidateCount(), split_state.AliveCount());
+        ASSERT_EQ(tree_state.SubtreeWeight(tree_state.root()),
+                  split_state.TotalAlive());
+        split_state.ForEachAlive([&](NodeId v) {
+          ASSERT_EQ(tree_state.SubtreeWeight(v), split_state.ReachWeight(v))
+              << "node " << v;
+          ASSERT_EQ(tree_state.SubtreeSize(v), split_state.ReachCount(v))
+              << "node " << v;
+        });
+        if (steps.UniformInt(4) == 0) {
+          break;  // vary sequence lengths
+        }
       }
     }
   }
