@@ -8,11 +8,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <list>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "core/policy_registry.h"
 #include "data/builtin.h"
@@ -977,9 +974,9 @@ StatusOr<SessionId> OpenAtPrefix(Engine& engine, const std::string& spec,
 
 /// Mean nanoseconds of one Engine::Ask at shared transcript prefixes of
 /// depth 0..depths−1: `per_depth` sessions are replayed to each depth
-/// (untimed — this is also what warms the trie), then exactly one Ask per
+/// (untimed — this is also what plans the tree), then exactly one Ask per
 /// session is timed. On an uncached engine that Ask runs the pure planner;
-/// on a warm engine it is one trie lookup.
+/// on a warm engine it is one plan-tree read.
 StatusOr<double> TimedAskNanos(Engine& engine, const std::string& spec,
                                const Hierarchy& h, NodeId target,
                                std::size_t depths, std::size_t per_depth) {
@@ -1049,7 +1046,7 @@ StatusOr<std::unique_ptr<Engine>> MakeSuiteEngine(const Dataset& dataset,
 ///    bit-identical values of both rows (cached == uncached == in-process),
 ///    and the cached row reports its measured hit rate in the JSON sink;
 ///  * the warm-prefix table — mean wall time of exactly one Engine::Ask at
-///    shared prefixes (depths 0–3), uncached planner vs warm trie hit.
+///    shared prefixes (depths 0–3), uncached planner vs warm plan-tree read.
 Status SuitePlanCache(SuiteContext& ctx) {
   PrintConfig(ctx, "plan_cache: warm-prefix question plans (PR 4)");
 
@@ -1124,12 +1121,12 @@ Status SuitePlanCache(SuiteContext& ctx) {
   std::printf("%s\n", ask_table.ToString().c_str());
   std::printf("timed: exactly one Ask per session at shared prefixes "
               "(depths 0-%zu, %zu sessions/depth). Uncached runs the "
-              "planner; warm is one lock-striped trie lookup.\n",
+              "planner; warm is one plan-tree read.\n",
               depths - 1, per_depth);
   return Status::OK();
 }
 
-// ---- epoch_lifecycle: migration + warm publish + rolling keys (PR 5) -------
+// ---- epoch_lifecycle: migration + warm publish + publish latency -----------
 
 /// Replays one engine session to `depth` answers for `target`; leaves it
 /// IDLE (answered, no resolved pending) so the migration sweep may pick it
@@ -1150,13 +1147,11 @@ StatusOr<SessionId> OpenIdleAtPrefix(Engine& engine, const std::string& spec,
   return id;
 }
 
-StatusOr<std::unique_ptr<Engine>> MakeLifecycleEngine(bool warm,
-                                                      bool sweep) {
+StatusOr<std::unique_ptr<Engine>> MakeLifecycleEngine(bool sweep) {
   EngineOptions options;
-  options.plan_cache.warm_publish = warm;
   options.migration.sweep_on_publish = sweep;
-  // These benches time the inline seeding/sweep paths and read trie stats
-  // right after Publish; the background worker would race both.
+  // These benches time the inline warm-walk/sweep paths and read plan-tree
+  // stats right after Publish; the background worker would race both.
   options.drain.background = false;
   return std::make_unique<Engine>(options);
 }
@@ -1178,7 +1173,7 @@ Status LifecycleMigrationThroughput(SuiteContext& ctx, const Dataset& d) {
   const std::size_t kDepth = 4;
 
   AIGS_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
-                        MakeLifecycleEngine(/*warm=*/true, /*sweep=*/false));
+                        MakeLifecycleEngine(/*sweep=*/false));
   AIGS_RETURN_NOT_OK(
       PublishLifecycleEpoch(*engine, d, d.real_distribution));
   const AliasTable sampler(d.real_distribution);
@@ -1215,47 +1210,50 @@ Status LifecycleMigrationThroughput(SuiteContext& ctx, const Dataset& d) {
   return Status::OK();
 }
 
-/// (b) Post-publish cold start: first-asks hit rate with warm seeding
-/// on vs off. The first fresh session after a publish is the pure
+/// (b) Post-publish cold start: the hit rate of fresh sessions right after
+/// a publish, on an engine republished after traffic (the warm walk replans
+/// the old plan trees' prefixes on the new epoch) against a freshly
+/// published one (empty trees). The first fresh session is the pure
 /// cold-start probe; the aggregate adds the sessions that follow it.
 Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
   const Hierarchy& h = d.hierarchy;
   const std::size_t kHeatSessions = ctx.smoke ? 24 : 128;
   const std::size_t kFreshSessions = ctx.smoke ? 16 : 64;
   const std::size_t kDepth = 4;
+  const AliasTable sampler(d.real_distribution);
 
-  AsciiTable table({"Warm publish", "Seeded entries", "First-session hits",
+  AsciiTable table({"Engine", "Tree nodes", "First-session hits",
                     "First-session rate", "Fresh hit rate"});
   double rates[2] = {0, 0};
-  for (const bool warm : {false, true}) {
+  for (const bool republished : {false, true}) {
     AIGS_ASSIGN_OR_RETURN(std::unique_ptr<Engine> engine,
-                          MakeLifecycleEngine(warm, /*sweep=*/false));
+                          MakeLifecycleEngine(/*sweep=*/false));
     AIGS_RETURN_NOT_OK(
         PublishLifecycleEpoch(*engine, d, d.real_distribution));
-    const AliasTable sampler(d.real_distribution);
-    Rng rng(7007);
-    for (std::size_t i = 0; i < kHeatSessions; ++i) {
-      AIGS_ASSIGN_OR_RETURN(const SessionId id,
-                            OpenIdleAtPrefix(*engine, "greedy", h,
-                                             sampler.Sample(rng), kDepth));
-      if (id != kInvalidSession) {
-        AIGS_RETURN_NOT_OK(engine->Close(id));
+    if (republished) {
+      Rng rng(7007);
+      for (std::size_t i = 0; i < kHeatSessions; ++i) {
+        AIGS_ASSIGN_OR_RETURN(const SessionId id,
+                              OpenIdleAtPrefix(*engine, "greedy", h,
+                                               sampler.Sample(rng), kDepth));
+        if (id != kInvalidSession) {
+          AIGS_RETURN_NOT_OK(engine->Close(id));
+        }
       }
+      // Publish the same weights again: the new epoch's trees start empty
+      // and the warm walk replans the old trees' prefixes into them.
+      AIGS_RETURN_NOT_OK(
+          PublishLifecycleEpoch(*engine, d, d.real_distribution));
     }
-    // Publish the same weights again: without warm seeding the new trie
-    // starts empty and the first post-publish asks all run the planner.
-    AIGS_RETURN_NOT_OK(
-        PublishLifecycleEpoch(*engine, d, d.real_distribution));
-    const std::shared_ptr<PlanCache> trie = engine->plan_cache();
-    const PlanCacheStats seeded = trie->stats();
+    const std::size_t nodes = engine->Stats().plan_cache.nodes;
 
-    Rng fresh_rng(7007);  // same target stream as the heat phase
-    PlanCacheStats before_first = trie->stats();
+    Rng fresh_rng(7007);  // the heat phase's target stream
+    const PlanCacheStats before_first = engine->Stats().plan_cache;
     AIGS_ASSIGN_OR_RETURN(
         const SessionId first,
         OpenIdleAtPrefix(*engine, "greedy", h, sampler.Sample(fresh_rng),
                          kDepth));
-    const PlanCacheStats after_first = trie->stats();
+    const PlanCacheStats after_first = engine->Stats().plan_cache;
     if (first != kInvalidSession) {
       AIGS_RETURN_NOT_OK(engine->Close(first));
     }
@@ -1268,7 +1266,7 @@ Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
         AIGS_RETURN_NOT_OK(engine->Close(id));
       }
     }
-    const PlanCacheStats done = trie->stats();
+    const PlanCacheStats done = engine->Stats().plan_cache;
     const std::uint64_t first_hits = after_first.hits - before_first.hits;
     const std::uint64_t first_asks = first_hits + after_first.misses -
                                      before_first.misses;
@@ -1279,9 +1277,9 @@ Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
                             ? 0.0
                             : static_cast<double>(fresh_hits) /
                                   static_cast<double>(fresh_asks);
-    rates[warm ? 1 : 0] = rate;
-    table.AddRow({warm ? "on" : "off",
-                  std::to_string(seeded.seeded_inserts),
+    rates[republished ? 1 : 0] = rate;
+    table.AddRow({republished ? "republished" : "fresh",
+                  std::to_string(nodes),
                   std::to_string(first_hits) + "/" +
                       std::to_string(first_asks),
                   first_asks > 0
@@ -1297,98 +1295,11 @@ Status LifecycleWarmPublish(SuiteContext& ctx, const Dataset& d) {
               table.ToString().c_str());
   if (rates[1] <= rates[0]) {
     return Status::Internal(
-        "warm publish did not raise the post-publish hit rate (" +
-        FormatDouble(rates[1], 4) + " vs " + FormatDouble(rates[0], 4) +
-        ")");
+        "the republished engine's post-publish hit rate is not above a "
+        "freshly published one's (" +
+        FormatDouble(rates[1], 4) + " vs " + FormatDouble(rates[0], 4) + ")");
   }
-  std::printf("warm=on first-asks hit rate strictly above warm=off: OK\n\n");
-  return Status::OK();
-}
-
-/// Faithful re-creation of the PR-4 string-key cache stripe (lock + flat
-/// hash map + LRU splice), so the micro row below isolates the one thing
-/// that changed: hashing an O(depth) concatenated key vs one interned id.
-struct LegacyStringStripe {
-  struct Entry {
-    Query query;
-    std::list<const std::string*>::iterator lru_it;
-  };
-  std::mutex mutex;
-  std::unordered_map<std::string, Entry> entries;
-  std::list<const std::string*> lru;
-  std::atomic<std::uint64_t> hits{0};
-
-  void Insert(const std::string& key, const Query& query) {
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto [it, inserted] = entries.try_emplace(key);
-    it->second.query = query;
-    lru.push_front(&it->first);
-    it->second.lru_it = lru.begin();
-  }
-  std::optional<Query> Lookup(const std::string& key) {
-    std::lock_guard<std::mutex> lock(mutex);
-    const auto it = entries.find(key);
-    if (it == entries.end()) {
-      return std::nullopt;
-    }
-    hits.fetch_add(1, std::memory_order_relaxed);
-    lru.splice(lru.begin(), lru, it->second.lru_it);
-    return it->second.query;
-  }
-};
-
-/// (c) Rolling plan keys: per-Ask key cost of the interned PlanPrefixId
-/// trie vs the PR-4 O(depth) string key, across transcript depths.
-Status LifecycleRollingKeys(SuiteContext& ctx) {
-  const std::size_t kLookups = ctx.smoke ? 200'000 : 2'000'000;
-  AsciiTable table({"Depth", "String key bytes", "Re-encoded key (ns)",
-                    "Interned id (ns)", "Speedup"});
-  for (const std::size_t depth : {4u, 16u, 64u, 256u}) {
-    // The PR-4 scheme: the session carries the concatenated step lines and
-    // every Ask hashes all O(depth) bytes of it under the stripe lock.
-    LegacyStringStripe flat;
-    std::string string_key = "greedy\n";
-    PlanCacheOptions options;
-    options.max_depth = depth + 1;
-    PlanCache cache(options);
-    PlanPrefixId id = cache.RootFor("greedy");
-    for (std::size_t i = 0; i < depth; ++i) {
-      TranscriptStep step;
-      step.kind = Query::Kind::kReach;
-      step.nodes = {static_cast<NodeId>(i)};
-      step.yes = (i & 1) != 0;
-      std::string edge;
-      SessionCodec::AppendStepKey(step, &edge);
-      string_key += edge;
-      id = cache.Advance(id, edge);
-    }
-    flat.Insert(string_key, Query::ReachQuery(1));
-    cache.Insert(id, Query::ReachQuery(1));
-
-    WallTimer old_timer;
-    std::size_t sink = 0;
-    for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += flat.Lookup(string_key).has_value() ? 1 : 0;
-    }
-    const double old_ns = old_timer.ElapsedMillis() * 1e6 /
-                          static_cast<double>(kLookups);
-    WallTimer new_timer;
-    for (std::size_t i = 0; i < kLookups; ++i) {
-      sink += cache.Lookup(id).has_value() ? 1 : 0;
-    }
-    const double new_ns = new_timer.ElapsedMillis() * 1e6 /
-                          static_cast<double>(kLookups);
-    AIGS_CHECK(sink == 2 * kLookups);
-    table.AddRow({std::to_string(depth), std::to_string(string_key.size()),
-                  FormatDouble(old_ns, 1), FormatDouble(new_ns, 1),
-                  new_ns > 0 ? FormatDouble(old_ns / new_ns, 1) + "x"
-                             : "-"});
-  }
-  std::printf("[rolling plan keys: one key probe per Ask, %zu probes "
-              "per row]\n%s\n",
-              kLookups, table.ToString().c_str());
-  std::printf("shape: the re-encoded string key scales with depth; the "
-              "interned id stays flat (hash of one u64 + stripe lock).\n");
+  std::printf("republished first-asks hit rate strictly above fresh: OK\n\n");
   return Status::OK();
 }
 
@@ -1496,7 +1407,7 @@ Status LifecyclePublishLatency(SuiteContext& ctx, const Dataset& d) {
 Status SuiteEpochLifecycle(SuiteContext& ctx) {
   PrintConfig(ctx,
               "epoch_lifecycle: cross-epoch migration, warm publish, "
-              "O(1) rolling plan keys, publish-latency SLO (PR 5/6)");
+              "publish-latency SLO (PR 5/6)");
   const double scale = std::min(ctx.scale, ctx.smoke ? 0.02 : 0.1);
   AIGS_ASSIGN_OR_RETURN(const Dataset* amazon,
                         ctx.cache->Get("amazon", scale));
@@ -1505,7 +1416,6 @@ Status SuiteEpochLifecycle(SuiteContext& ctx) {
   AIGS_RETURN_NOT_OK(LifecycleMigrationThroughput(ctx, *amazon));
   AIGS_RETURN_NOT_OK(LifecycleMigrationThroughput(ctx, *imagenet));
   AIGS_RETURN_NOT_OK(LifecycleWarmPublish(ctx, *amazon));
-  AIGS_RETURN_NOT_OK(LifecycleRollingKeys(ctx));
   AIGS_RETURN_NOT_OK(LifecyclePublishLatency(ctx, *amazon));
 
   // Guarded scenario rows: the service path under the non-uniform
@@ -1694,15 +1604,15 @@ Status DurabilityAnswerOverhead(SuiteContext& ctx, const Dataset& d) {
 }
 
 /// (b) Recovery throughput: sessions parked at depth 4 on one shared
-/// target (the plan trie amortizes the planner, so the measurement is the
+/// target (the plan tree amortizes the planner, so the measurement is the
 /// durable-store scan + replay, not planning), recovered by a fresh engine.
 Status DurabilityRecoveryThroughput(SuiteContext& ctx, const Dataset& d) {
   const std::vector<std::size_t> counts =
       ctx.smoke ? std::vector<std::size_t>{200, 1'000}
                 : std::vector<std::size_t>{1'000, 100'000};
   const std::size_t kDepth = 4;
-  // One deep-ish target shared by every session: replay becomes pure trie
-  // hits after the first session, mirroring a warm serving fleet.
+  // One deep-ish target shared by every session: replay becomes pure
+  // plan-tree reads after the first session, mirroring a warm serving fleet.
   const AliasTable sampler(d.real_distribution);
   Rng target_rng(9009);
   const NodeId target = sampler.Sample(target_rng);

@@ -50,7 +50,7 @@ struct Query {
 };
 
 /// One answered question: what was asked and what the oracle said. The unit
-/// of session transcripts (SessionCodec), plan-cache trie edges, and
+/// of session transcripts (SessionCodec), plan-tree edges, and
 /// divergence-tolerant replay (TryApplyObserved / Engine::Migrate).
 struct TranscriptStep {
   Query::Kind kind = Query::Kind::kReach;
@@ -63,8 +63,9 @@ struct TranscriptStep {
   /// Replay bookkeeping, not transcript content: true when this step's
   /// question is NOT what the session's own planner would have asked at
   /// that point (it was recorded on another catalog epoch and folded in by
-  /// TryApplyObserved). Excluded from plan-cache keys; preserved by
-  /// SessionCodec so migrated sessions keep their divergence history.
+  /// TryApplyObserved). Such a step takes a session off its plan tree;
+  /// SessionCodec preserves the flag so migrated sessions keep their
+  /// divergence history.
   bool diverged = false;
 
   bool operator==(const TranscriptStep& other) const = default;

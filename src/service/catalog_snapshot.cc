@@ -112,8 +112,11 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> CatalogSnapshot::Build(
                                                   built[i].status().message());
     }
   }
+  const std::size_t num_nodes = snapshot->config_.hierarchy->NumNodes();
   for (std::size_t i = 0; i < unique_specs.size(); ++i) {
-    snapshot->policies_.emplace(*unique_specs[i], *std::move(built[i]));
+    snapshot->policies_.emplace(
+        *unique_specs[i],
+        Entry{*std::move(built[i]), std::make_unique<PlanTree>(num_nodes)});
   }
   return std::shared_ptr<const CatalogSnapshot>(std::move(snapshot));
 }
@@ -135,6 +138,11 @@ std::uint64_t CatalogSnapshot::hierarchy_fingerprint() const {
 
 StatusOr<const Policy*> CatalogSnapshot::PolicyFor(
     const std::string& spec) const {
+  AIGS_ASSIGN_OR_RETURN(const ServedPolicy served, Serve(spec));
+  return served.policy;
+}
+
+StatusOr<ServedPolicy> CatalogSnapshot::Serve(const std::string& spec) const {
   const auto it = policies_.find(spec);
   if (it == policies_.end()) {
     std::string known;
@@ -145,7 +153,15 @@ StatusOr<const Policy*> CatalogSnapshot::PolicyFor(
                             "' is not prebuilt in this snapshot (available: " +
                             known + ")");
   }
-  return it->second.get();
+  return ServedPolicy{it->second.policy.get(), it->second.plans.get()};
+}
+
+std::size_t CatalogSnapshot::plan_tree_nodes() const {
+  std::size_t nodes = 0;
+  for (const auto& [name, entry] : policies_) {
+    nodes += entry.plans->size();
+  }
+  return nodes;
 }
 
 std::vector<std::string> CatalogSnapshot::policy_specs() const {

@@ -7,6 +7,11 @@
 // base (SplitWeightBase, or TreeWeightBase for GreedyTree) — happens once at
 // Build() time, so opening a search session against a snapshot is O(1).
 //
+// Beside each policy the snapshot owns that policy's PlanTree: the decision
+// tree of questions its sessions have planned at this epoch, shared by
+// every session on the snapshot and retired with it. The tree is the one
+// mutable part of a snapshot and is internally synchronized.
+//
 // Snapshots are published through Engine epochs: an online-learning weight
 // update builds a *new* snapshot and swaps the engine's current pointer;
 // live sessions keep their shared_ptr and finish on the epoch they started
@@ -27,6 +32,7 @@
 #include "core/policy.h"
 #include "oracle/cost_model.h"
 #include "prob/distribution.h"
+#include "service/plan_tree.h"
 #include "util/status.h"
 
 namespace aigs {
@@ -51,13 +57,20 @@ struct CatalogConfig {
   ThreadPool* build_pool = nullptr;
 };
 
+/// A prebuilt policy and the plan tree its sessions share.
+struct ServedPolicy {
+  const Policy* policy = nullptr;
+  PlanTree* plans = nullptr;
+};
+
 /// Wraps a borrowed hierarchy in a non-owning shared_ptr for CatalogConfig.
 /// The referent must outlive every snapshot built from the config.
 std::shared_ptr<const Hierarchy> UnownedHierarchy(const Hierarchy& hierarchy);
 
 /// Immutable catalog state at one epoch. Thread-safe by construction: all
 /// members are const after Build() except the lazily computed digests,
-/// which std::call_once publishes.
+/// which std::call_once publishes, and the plan trees, which synchronize
+/// themselves.
 class CatalogSnapshot {
  public:
   /// Constructs every configured policy through the global PolicyRegistry.
@@ -74,6 +87,12 @@ class CatalogSnapshot {
   /// The prebuilt policy for `spec`; NotFound (listing the prebuilt specs)
   /// for anything else.
   StatusOr<const Policy*> PolicyFor(const std::string& spec) const;
+
+  /// PolicyFor plus the spec's plan tree.
+  StatusOr<ServedPolicy> Serve(const std::string& spec) const;
+
+  /// Nodes over every plan tree of the snapshot.
+  std::size_t plan_tree_nodes() const;
 
   /// The prebuilt specs, sorted.
   std::vector<std::string> policy_specs() const;
@@ -100,7 +119,11 @@ class CatalogSnapshot {
   mutable std::uint64_t fingerprint_ = 0;
   mutable std::once_flag hierarchy_fingerprint_once_;
   mutable std::uint64_t hierarchy_fingerprint_ = 0;
-  std::map<std::string, std::unique_ptr<Policy>> policies_;
+  struct Entry {
+    std::unique_ptr<Policy> policy;
+    std::unique_ptr<PlanTree> plans;
+  };
+  std::map<std::string, Entry> policies_;
 };
 
 }  // namespace aigs

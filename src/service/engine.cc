@@ -3,12 +3,135 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
+#include <limits>
 #include <thread>
 #include <utility>
 
 #include "util/thread_pool.h"
 
 namespace aigs {
+
+namespace {
+
+// Defined with the other replay helpers below.
+Status ApplyMatchedStep(SearchSession& search, const TranscriptStep& step);
+
+/// True iff `a` and `b` pose the same question.
+bool SameQuestion(const Query& a, const Query& b) {
+  return a.kind == b.kind && a.node == b.node && a.choices == b.choices;
+}
+
+/// Warm publish: a breadth-first walk of the previous epoch's plan trees
+/// against the new epoch's planners. Each planned node of an old tree is
+/// reached on a fresh session of the new policy by replaying the answers on
+/// its path, and the question the new planner asks there is planned into
+/// the new tree — shallow prefixes, which every session shares, first. A
+/// subtree is left out once the new planner asks something else at its
+/// root: its answers lead nowhere on the new tree. Every old node is
+/// visited at most once, so the walk is bounded by the old trees' sizes;
+/// Run walks a batch at a time so a caller can cancel between batches.
+class PlanTreeWalk {
+ public:
+  PlanTreeWalk(const CatalogSnapshot& from, const CatalogSnapshot& to,
+               std::atomic<std::uint64_t>* refused)
+      : refused_(refused) {
+    // Recorded node ids only mean the same nodes on the same hierarchy.
+    if (&from.hierarchy() != &to.hierarchy() &&
+        from.hierarchy_fingerprint() != to.hierarchy_fingerprint()) {
+      return;
+    }
+    for (const std::string& spec : to.policy_specs()) {
+      const auto old_served = from.Serve(spec);
+      const auto new_served = to.Serve(spec);
+      if (old_served.ok() && new_served.ok()) {
+        trees_.push_back({old_served->plans, new_served->plans,
+                          new_served->policy});
+        total_ += old_served->plans->size();
+      }
+    }
+    if (!trees_.empty()) {
+      queue_.push_back(PlanTree::kRoot);
+    }
+  }
+
+  /// Visits up to `budget` more old nodes; false once every tree is done.
+  bool Run(std::size_t budget) {
+    for (; budget > 0 && tree_ < trees_.size(); --budget) {
+      if (queue_.empty()) {
+        if (++tree_ < trees_.size()) {
+          queue_.push_back(PlanTree::kRoot);
+        }
+        continue;
+      }
+      const PlanTree::NodeIndex node = queue_.front();
+      queue_.pop_front();
+      if (Visit(trees_[tree_], node)) {
+        for (const PlanTree::NodeIndex child :
+             trees_[tree_].from->Children(node)) {
+          queue_.push_back(child);
+        }
+      }
+    }
+    return tree_ < trees_.size();
+  }
+
+  /// Nodes of the old trees, and old nodes replayed onto the new trees.
+  std::size_t total() const { return total_; }
+  std::size_t walked() const { return walked_; }
+
+ private:
+  struct TreePair {
+    const PlanTree* from;
+    PlanTree* to;
+    const Policy* policy;
+  };
+
+  /// Plans the new tree at the old `node`'s prefix; true when the new
+  /// planner asks the old question there, so its children are walked too.
+  bool Visit(const TreePair& pair, PlanTree::NodeIndex node) {
+    Query old_question;
+    if (!pair.from->Lookup(node, &old_question)) {
+      return false;  // no session ever asked here
+    }
+    std::vector<TranscriptStep> path;
+    for (PlanTree::NodeIndex at = node; at != PlanTree::kRoot;
+         at = pair.from->Parent(at)) {
+      path.push_back(pair.from->StepInto(at));
+    }
+    const std::unique_ptr<SearchSession> search = pair.policy->NewSession();
+    PlanTree::NodeIndex at = PlanTree::kRoot;
+    for (auto step = path.rbegin(); step != path.rend(); ++step) {
+      // Every ancestor was planned with the old question (it was visited
+      // first), so the step is the new planner's own question too.
+      if (!ApplyMatchedStep(*search, *step).ok()) {
+        return false;
+      }
+      at = pair.to->Advance(at, *step);
+      if (at == PlanTree::kOffTree) {
+        refused_->fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+    }
+    Query question;
+    if (!pair.to->Lookup(at, &question)) {
+      question = search->Next();
+      pair.to->Plan(at, question);
+    }
+    ++walked_;
+    return SameQuestion(question, old_question) &&
+           question.kind != Query::Kind::kDone;
+  }
+
+  std::atomic<std::uint64_t>* refused_;
+  std::vector<TreePair> trees_;
+  std::size_t tree_ = 0;
+  std::deque<PlanTree::NodeIndex> queue_;
+  std::size_t total_ = 0;
+  std::size_t walked_ = 0;
+};
+
+}  // namespace
 
 /// Background drain pipeline: one coordinator thread consuming publish
 /// jobs plus a small private pool that migrates sessions within a batch.
@@ -46,12 +169,13 @@ class EpochDrainWorker {
 
   /// Replaces any pending job (the newest publish wins) and cancels the
   /// running one at its next batch boundary.
-  void Enqueue(std::shared_ptr<PlanCache> cache,
-               std::shared_ptr<PlanCache> warm_source, bool sweep) {
+  void Enqueue(std::shared_ptr<const CatalogSnapshot> target,
+               std::shared_ptr<const CatalogSnapshot> warm_source,
+               bool sweep) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      pending_ =
-          Job{std::move(cache), std::move(warm_source), sweep, pending_.digest};
+      pending_ = Job{std::move(target), std::move(warm_source), sweep,
+                     pending_.digest};
       has_pending_ = true;
       generation_.fetch_add(1, std::memory_order_relaxed);
       drains_.fetch_add(1, std::memory_order_relaxed);
@@ -101,10 +225,10 @@ class EpochDrainWorker {
 
  private:
   struct Job {
-    /// The freshly published trie and its warm-seed source; either may be
-    /// null (cache disabled or warm-publish off).
-    std::shared_ptr<PlanCache> cache;
-    std::shared_ptr<PlanCache> warm_source;
+    /// The freshly published snapshot and the previous one, whose plan
+    /// trees the warm walk replays (null when plan trees are off).
+    std::shared_ptr<const CatalogSnapshot> target;
+    std::shared_ptr<const CatalogSnapshot> warm_source;
     bool sweep = false;
     /// Compute the snapshot's fingerprint() (durability is on).
     bool digest = false;
@@ -145,9 +269,7 @@ class EpochDrainWorker {
     // Re-read the engine's CURRENT epoch state: publishes are serialized
     // by the snapshot mutex, so this is the newest epoch even when the
     // Enqueue that carried `job` raced another publish.
-    std::shared_ptr<const CatalogSnapshot> snapshot;
-    std::shared_ptr<PlanCache> current_cache;
-    engine_->CurrentEpochState(&snapshot, &current_cache);
+    const std::shared_ptr<const CatalogSnapshot> snapshot = engine_->snapshot();
     if (snapshot == nullptr) {
       return;
     }
@@ -159,12 +281,11 @@ class EpochDrainWorker {
     }
     target_epoch_.store(snapshot->epoch(), std::memory_order_relaxed);
 
-    // WARM phase. Only when the job's trie is still the live one — a
-    // superseded publish's trie has already been retired, and seeding it
-    // would be wasted work.
-    if (job.cache != nullptr && job.cache == current_cache &&
-        job.warm_source != nullptr) {
-      if (!Warm(job, *snapshot, generation)) {
+    // WARM phase. Only when the job's snapshot is still the live one — a
+    // superseded publish's trees have already been retired, and walking
+    // into them would be wasted work.
+    if (job.warm_source != nullptr && job.target == snapshot) {
+      if (!Warm(*job.warm_source, *snapshot, generation)) {
         rolled_forward_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -181,29 +302,19 @@ class EpochDrainWorker {
   }
 
   /// Warm phase body; false when superseded mid-way.
-  bool Warm(const Job& job, const CatalogSnapshot& snapshot,
+  bool Warm(const CatalogSnapshot& from, const CatalogSnapshot& to,
             std::uint64_t generation) {
     phase_.store(static_cast<std::uint8_t>(DrainPhase::kWarming),
                  std::memory_order_relaxed);
-    const std::vector<HotPrefix> prefixes = job.warm_source->HottestPrefixes(
-        engine_->options_.plan_cache.warm_budget);
-    warm_total_.store(prefixes.size(), std::memory_order_relaxed);
+    PlanTreeWalk walk(from, to, &engine_->plan_refused_);
+    warm_total_.store(walk.total(), std::memory_order_relaxed);
     warm_seeded_.store(0, std::memory_order_relaxed);
-    std::size_t done = 0;
-    while (done < prefixes.size()) {
+    for (bool more = true; more;) {
       if (Superseded(generation)) {
         return false;
       }
-      const std::size_t end =
-          std::min(done + options_.batch_size, prefixes.size());
-      std::size_t seeded = 0;
-      for (; done < end; ++done) {
-        seeded += engine_->WarmSeedPrefix(snapshot, *job.cache,
-                                          prefixes[done])
-                      ? 1
-                      : 0;
-      }
-      warm_seeded_.fetch_add(seeded, std::memory_order_relaxed);
+      more = walk.Run(options_.batch_size);
+      warm_seeded_.store(walk.walked(), std::memory_order_relaxed);
     }
     return true;
   }
@@ -354,6 +465,7 @@ const char* DrainPhaseName(DrainPhase phase) {
   return "?";
 }
 
+
 namespace {
 
 const char* KindName(Query::Kind kind) {
@@ -485,9 +597,7 @@ DrainStats Engine::DrainProgress() const {
 StatusOr<std::shared_ptr<const CatalogSnapshot>> Engine::Publish(
     CatalogConfig config) {
   std::shared_ptr<const CatalogSnapshot> snapshot;
-  std::shared_ptr<PlanCache> cache;
   std::shared_ptr<const CatalogSnapshot> old_snapshot;
-  std::shared_ptr<PlanCache> old_cache;
   if (config.build_pool == nullptr) {
     // Publish runs on a caller thread, never on a shared-pool worker, so
     // sharding the per-spec policy builds on the default pool is safe.
@@ -498,40 +608,31 @@ StatusOr<std::shared_ptr<const CatalogSnapshot>> Engine::Publish(
     AIGS_ASSIGN_OR_RETURN(
         snapshot, CatalogSnapshot::Build(std::move(config), next_epoch_));
     ++next_epoch_;
-    old_snapshot = std::exchange(snapshot_, snapshot);
-    // A fresh epoch gets a fresh plan trie; the old one is retained once
-    // (the warm-seed source and the `warm` REPL command) and then retires
-    // with its snapshot's refcount — a publish invalidates every stale plan
+    // The new snapshot brings empty plan trees; the old one is retained
+    // once (the warm-walk source and the `warm` REPL command) and then
+    // retires with its refcount — a publish invalidates every stale plan
     // without any flush or version check on the hot path.
-    old_cache = std::exchange(
-        plan_cache_, options_.plan_cache.enabled
-                         ? std::make_shared<PlanCache>(options_.plan_cache)
-                         : nullptr);
+    old_snapshot = std::exchange(snapshot_, snapshot);
     previous_snapshot_ = old_snapshot;
-    previous_plan_cache_ = old_cache;
-    cache = plan_cache_;
   }
   // Both follow-ups run outside the snapshot mutex: they only touch the
   // captured shared_ptrs and per-session mutexes, so concurrent traffic
   // (and even a concurrent Publish) proceeds. With a background worker
   // they are handed off entirely — Publish stays O(1) in the session
   // count — and a drain already in flight rolls forward to this epoch.
-  const bool warm = cache != nullptr && old_cache != nullptr &&
-                    options_.plan_cache.warm_publish;
+  const bool warm = options_.plan_cache.enabled && old_snapshot != nullptr;
   const bool sweep =
       options_.migration.sweep_on_publish && old_snapshot != nullptr;
   if (drain_ != nullptr) {
     if (warm || sweep) {
-      drain_->Enqueue(warm ? cache : nullptr, warm ? old_cache : nullptr,
-                      sweep);
+      drain_->Enqueue(snapshot, warm ? old_snapshot : nullptr, sweep);
     }
     if (durable_.load(std::memory_order_acquire) != nullptr) {
       drain_->WarmDigest();
     }
   } else {
     if (warm) {
-      WarmSeed(*snapshot, *cache, *old_cache,
-               options_.plan_cache.warm_budget);
+      WalkPlanTrees(*old_snapshot, *snapshot);
     }
     if (sweep) {
       MigrateIdleSessions();
@@ -550,28 +651,20 @@ std::uint64_t Engine::epoch() const {
   return snapshot_ == nullptr ? 0 : snapshot_->epoch();
 }
 
-void Engine::CurrentEpochState(
-    std::shared_ptr<const CatalogSnapshot>* snap,
-    std::shared_ptr<PlanCache>* cache) const {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  *snap = snapshot_;
-  *cache = plan_cache_;
-}
-
 StatusOr<std::shared_ptr<ServiceSession>> Engine::BuildSession(
     std::shared_ptr<const CatalogSnapshot> snap,
-    std::shared_ptr<PlanCache> cache, const std::string& policy_spec) {
-  AIGS_ASSIGN_OR_RETURN(const Policy* policy, snap->PolicyFor(policy_spec));
+    const std::string& policy_spec) {
+  AIGS_ASSIGN_OR_RETURN(const ServedPolicy served, snap->Serve(policy_spec));
   auto session = std::make_shared<ServiceSession>();
   session->epoch.store(snap->epoch(), std::memory_order_relaxed);
   session->snapshot = std::move(snap);
   session->policy_spec = policy_spec;
-  session->policy = policy;
-  session->plan_cache = std::move(cache);
-  session->search = policy->NewSession();
-  session->plan_prefix = session->plan_cache != nullptr
-                             ? session->plan_cache->RootFor(policy_spec)
-                             : kNoPlanPrefix;
+  session->policy = served.policy;
+  if (options_.plan_cache.enabled) {
+    session->plans = served.plans;
+    session->plan_node = PlanTree::kRoot;
+  }
+  session->search = served.policy->NewSession();
   return session;
 }
 
@@ -649,16 +742,13 @@ StatusOr<SessionId> Engine::InsertSession(
 
 StatusOr<SessionId> Engine::OpenImpl(const std::string& policy_spec,
                                      SessionId proposed_id) {
-  std::shared_ptr<const CatalogSnapshot> snap;
-  std::shared_ptr<PlanCache> cache;
-  CurrentEpochState(&snap, &cache);
+  std::shared_ptr<const CatalogSnapshot> snap = snapshot();
   if (snap == nullptr) {
     return Status::FailedPrecondition(
         "no catalog snapshot published yet — call Publish first");
   }
-  AIGS_ASSIGN_OR_RETURN(
-      std::shared_ptr<ServiceSession> session,
-      BuildSession(std::move(snap), std::move(cache), policy_spec));
+  AIGS_ASSIGN_OR_RETURN(std::shared_ptr<ServiceSession> session,
+                        BuildSession(std::move(snap), policy_spec));
   AIGS_ASSIGN_OR_RETURN(const SessionId id,
                         InsertSession(session, proposed_id));
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
@@ -682,28 +772,38 @@ Query Engine::ResolvePending(ServiceSession& session) {
   if (session.has_pending) {
     return session.pending;
   }
-  Query query;
-  PlanCache* cache = session.plan_cache.get();
-  if (cache != nullptr &&
-      session.transcript.size() <= cache->options().max_depth) {
-    if (std::optional<Query> hit = cache->Lookup(session.plan_prefix)) {
-      // Warm path: the question was planned once by some session at this
-      // (policy, transcript) prefix — or pre-seeded at publish time — so
-      // Ask skips the planner here. (The candidate-state policies skip it
-      // entirely; the phase-automata baselines still settle their derived
-      // state inside the applier — their planners are O(children) cheap,
-      // and the cache exists for the expensive middle-point planners.)
-      query = *std::move(hit);
-    } else {
-      query = session.search->Next();
-      cache->Insert(session.plan_prefix, query);
-    }
+  PlanTree* const plans = session.plans;
+  const bool on_tree =
+      plans != nullptr && session.plan_node != PlanTree::kOffTree;
+  if (on_tree && plans->Lookup(session.plan_node, &session.pending)) {
+    // Known prefix: some session planned this node — or the warm walk did
+    // at publish time — so Ask skips the planner. (The candidate-state
+    // policies skip it entirely; the phase-automata baselines still settle
+    // their derived state inside the applier.)
+    plan_hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    query = session.search->Next();
+    session.pending = session.search->Next();
+    if (plans != nullptr) {
+      plan_misses_.fetch_add(1, std::memory_order_relaxed);
+      if (on_tree) {
+        plans->Plan(session.plan_node, session.pending);
+      }
+    }
   }
-  session.pending = query;
   session.has_pending = true;
-  return query;
+  return session.pending;
+}
+
+PlanTree::NodeIndex Engine::Descend(PlanTree* plans, PlanTree::NodeIndex node,
+                                    const TranscriptStep& step) {
+  if (plans == nullptr || node == PlanTree::kOffTree) {
+    return PlanTree::kOffTree;
+  }
+  const PlanTree::NodeIndex child = plans->Advance(node, step);
+  if (child == PlanTree::kOffTree) {
+    plan_refused_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return child;
 }
 
 StatusOr<Query> Engine::AskImpl(SessionId id) {
@@ -787,16 +887,8 @@ Status Engine::AnswerLocked(SessionId id, ServiceSession& session_ref,
     case Query::Kind::kDone:
       AIGS_CHECK(false);  // handled above
   }
-  // Advance the rolling plan key by this step's trie edge (one O(edge)
-  // intern, depth-independent) and drop the consumed plan. Past the depth
-  // cap the key is never read again, so stop maintaining it.
-  if (session->plan_cache != nullptr &&
-      session->transcript.size() < session->plan_cache->options().max_depth) {
-    std::string edge;
-    SessionCodec::AppendStepKey(step, &edge);
-    session->plan_prefix =
-        session->plan_cache->Advance(session->plan_prefix, edge);
-  }
+  // Follow the answer down the plan tree and drop the consumed plan.
+  session->plan_node = Descend(session->plans, session->plan_node, step);
   session->has_pending = false;
   session->transcript.push_back(std::move(step));
   if (DurableStore* store = durable_.load(std::memory_order_acquire)) {
@@ -827,20 +919,30 @@ Status Engine::ReplayTranscript(ServiceSession& session,
   for (std::size_t i = 0; i < steps.size(); ++i) {
     TranscriptStep& step = steps[i];
     AIGS_RETURN_NOT_OK(ValidateStepShape(step, num_nodes, i));
-    const Query planned = session.search->Next();
-    // The replay already paid the planner; memoize its answer so restores
-    // and migrations warm the trie exactly like Ask's miss path would.
-    // Sound even past a divergence: the trie key is the actual transcript
-    // prefix, and the planner is a pure function of it.
-    if (session.plan_cache != nullptr &&
-        session.transcript.size() <=
-            session.plan_cache->options().max_depth) {
-      session.plan_cache->Insert(session.plan_prefix, planned);
+    // The question at this prefix: the tree's plan when some session asked
+    // here, else the planner's, which then plans the node just as Ask's
+    // miss path would.
+    const bool on_tree = session.plans != nullptr &&
+                         session.plan_node != PlanTree::kOffTree;
+    Query planned;
+    if (!on_tree || !session.plans->Lookup(session.plan_node, &planned)) {
+      planned = session.search->Next();
+      if (on_tree) {
+        session.plans->Plan(session.plan_node, planned);
+      }
     }
     if (QuestionMatchesStep(planned, step)) {
       step.diverged = false;  // this epoch's planner reproduces it after all
       AIGS_RETURN_NOT_OK(ApplyMatchedStep(*session.search, step));
-    } else if (step.diverged) {
+      session.plan_node = Descend(session.plans, session.plan_node, step);
+      session.transcript.push_back(std::move(step));
+      continue;
+    }
+    // A step the planner would not ask leaves the tree for good: the
+    // tree's nodes are keyed by answers to its own questions.
+    session.plan_node = PlanTree::kOffTree;
+    (void)session.search->Next();  // settle the planner before folding
+    if (step.diverged) {
       // Recorded divergence from an earlier migration: the step was never
       // this epoch's plan, so fold it observed in BOTH modes (an exact
       // Resume of a migrated session must round-trip) without charging the
@@ -863,14 +965,6 @@ Status Engine::ReplayTranscript(ServiceSession& session,
       // answer through the policy's observed-step applier instead.
       AIGS_RETURN_NOT_OK(session.search->TryApplyObserved(step));
     }
-    if (session.plan_cache != nullptr &&
-        session.transcript.size() <
-            session.plan_cache->options().max_depth) {
-      std::string edge;
-      SessionCodec::AppendStepKey(step, &edge);
-      session.plan_prefix =
-          session.plan_cache->Advance(session.plan_prefix, edge);
-    }
     session.transcript.push_back(std::move(step));
   }
   if (divergent_steps != nullptr) {
@@ -889,9 +983,7 @@ StatusOr<SessionId> Engine::ResumeImpl(const std::string& serialized,
                                        SessionId proposed_id) {
   AIGS_ASSIGN_OR_RETURN(const SerializedSession saved,
                         SessionCodec::Decode(serialized));
-  std::shared_ptr<const CatalogSnapshot> snap;
-  std::shared_ptr<PlanCache> cache;
-  CurrentEpochState(&snap, &cache);
+  std::shared_ptr<const CatalogSnapshot> snap = snapshot();
   if (snap == nullptr) {
     return Status::FailedPrecondition(
         "no catalog snapshot published yet — call Publish first");
@@ -902,9 +994,8 @@ StatusOr<SessionId> Engine::ResumeImpl(const std::string& serialized,
         "mismatch); replay would not be exact — use Migrate to replay onto "
         "the current epoch with divergence tolerated");
   }
-  AIGS_ASSIGN_OR_RETURN(
-      std::shared_ptr<ServiceSession> session,
-      BuildSession(std::move(snap), std::move(cache), saved.policy_spec));
+  AIGS_ASSIGN_OR_RETURN(std::shared_ptr<ServiceSession> session,
+                        BuildSession(std::move(snap), saved.policy_spec));
   // Replay with verification: determinism (Definition 6) guarantees the
   // fresh session regenerates the recorded questions in order; any
   // divergence means the catalog or policy changed under us.
@@ -926,9 +1017,7 @@ StatusOr<SessionId> Engine::ResumeImpl(const std::string& serialized,
 
 StatusOr<std::shared_ptr<ServiceSession>> Engine::MigrateDecoded(
     const SerializedSession& saved, std::size_t* divergent_steps) {
-  std::shared_ptr<const CatalogSnapshot> snap;
-  std::shared_ptr<PlanCache> cache;
-  CurrentEpochState(&snap, &cache);
+  std::shared_ptr<const CatalogSnapshot> snap = snapshot();
   if (snap == nullptr) {
     return Status::FailedPrecondition(
         "no catalog snapshot published yet — call Publish first");
@@ -947,9 +1036,8 @@ StatusOr<std::shared_ptr<ServiceSession>> Engine::MigrateDecoded(
         "saved session predates hierarchy fingerprints (aigs-session/1) "
         "and its catalog fingerprint no longer matches");
   }
-  AIGS_ASSIGN_OR_RETURN(
-      std::shared_ptr<ServiceSession> session,
-      BuildSession(std::move(snap), std::move(cache), saved.policy_spec));
+  AIGS_ASSIGN_OR_RETURN(std::shared_ptr<ServiceSession> session,
+                        BuildSession(std::move(snap), saved.policy_spec));
   AIGS_RETURN_NOT_OK(ReplayTranscript(
       *session, saved.steps, ReplayMode::kTolerant,
       options_.migration.max_divergence, divergent_steps));
@@ -990,9 +1078,7 @@ StatusOr<MigrateResult> Engine::MigrateLocked(SessionId id,
   result.from_epoch = session.snapshot->epoch();
   result.steps = session.transcript.size();
 
-  std::shared_ptr<const CatalogSnapshot> snap;
-  std::shared_ptr<PlanCache> cache;
-  CurrentEpochState(&snap, &cache);
+  std::shared_ptr<const CatalogSnapshot> snap = snapshot();
   AIGS_CHECK(snap != nullptr);  // the session exists, so Publish happened
   result.to_epoch = snap->epoch();
   if (snap.get() == session.snapshot.get()) {
@@ -1008,8 +1094,7 @@ StatusOr<MigrateResult> Engine::MigrateLocked(SessionId id,
   }
   // Build and replay into a private scratch session; the live one is only
   // touched on success, so failures leave it intact on its old epoch.
-  auto rebuilt = BuildSession(std::move(snap), std::move(cache),
-                              session.policy_spec);
+  auto rebuilt = BuildSession(std::move(snap), session.policy_spec);
   if (!rebuilt.ok()) {
     migration_failures_.fetch_add(1, std::memory_order_relaxed);
     return rebuilt.status();
@@ -1025,10 +1110,10 @@ StatusOr<MigrateResult> Engine::MigrateLocked(SessionId id,
   const bool had_pending = session.has_pending;
   session.snapshot = std::move(fresh.snapshot);
   session.policy = fresh.policy;
-  session.plan_cache = std::move(fresh.plan_cache);
+  session.plans = fresh.plans;
   session.search = std::move(fresh.search);
   session.transcript = std::move(fresh.transcript);
-  session.plan_prefix = fresh.plan_prefix;
+  session.plan_node = fresh.plan_node;
   session.has_pending = false;
   // A question the client already saw may differ on the new epoch; force a
   // re-Ask instead of silently applying their answer to a new question.
@@ -1054,9 +1139,7 @@ StatusOr<MigrateResult> Engine::MigrateImpl(SessionId id) {
 
 MigrateSweepStats Engine::MigrateIdleSessions() {
   MigrateSweepStats stats;
-  std::shared_ptr<const CatalogSnapshot> current;
-  std::shared_ptr<PlanCache> cache;
-  CurrentEpochState(&current, &cache);
+  const std::shared_ptr<const CatalogSnapshot> current = snapshot();
   if (current == nullptr) {
     return stats;
   }
@@ -1098,70 +1181,33 @@ MigrateSweepStats Engine::MigrateIdleSessions() {
   return stats;
 }
 
-std::size_t Engine::WarmSeed(const CatalogSnapshot& snap, PlanCache& target,
-                             const PlanCache& source, std::size_t budget) {
-  std::size_t seeded = 0;
-  for (const HotPrefix& prefix : source.HottestPrefixes(budget)) {
-    seeded += WarmSeedPrefix(snap, target, prefix) ? 1 : 0;
-  }
-  return seeded;
-}
-
-bool Engine::WarmSeedPrefix(const CatalogSnapshot& snap, PlanCache& target,
-                            const HotPrefix& prefix) {
-  const std::size_t num_nodes = snap.hierarchy().NumNodes();
-  const auto policy = snap.PolicyFor(prefix.policy_spec);
-  if (!policy.ok()) {
-    return false;  // the new epoch no longer serves this spec
-  }
-  std::unique_ptr<SearchSession> search = (*policy)->NewSession();
-  PlanPrefixId at = target.RootFor(prefix.policy_spec);
-  for (const std::string& line : prefix.step_lines) {
-    auto step = SessionCodec::ParseStepLine(line);
-    if (!step.ok() || !ValidateStepShape(*step, num_nodes, 0).ok()) {
-      return false;  // e.g. a node the new snapshot no longer has
-    }
-    const Query planned = search->Next();
-    target.Insert(at, planned, /*seeded=*/true);
-    if (QuestionMatchesStep(planned, *step)) {
-      if (!ApplyMatchedStep(*search, *step).ok()) {
-        return false;
-      }
-    } else if (!search->TryApplyObserved(*step).ok()) {
-      // The prefix no longer folds onto the new snapshot; the plans
-      // inserted so far are still exact, only the tail is abandoned.
-      return false;
-    }
-    at = target.Advance(at, line);
-  }
-  // Only fully replayed prefixes count toward the report.
-  target.Insert(at, search->Next(), /*seeded=*/true);
-  return true;
+std::size_t Engine::WalkPlanTrees(const CatalogSnapshot& from,
+                                  const CatalogSnapshot& to) {
+  PlanTreeWalk walk(from, to, &plan_refused_);
+  walk.Run(std::numeric_limits<std::size_t>::max());
+  return walk.walked();
 }
 
 StatusOr<std::size_t> Engine::Warm() {
   std::shared_ptr<const CatalogSnapshot> snap;
-  std::shared_ptr<PlanCache> cache;
-  std::shared_ptr<PlanCache> source;
+  std::shared_ptr<const CatalogSnapshot> previous;
   {
     std::lock_guard<std::mutex> lock(snapshot_mutex_);
     snap = snapshot_;
-    cache = plan_cache_;
-    source = previous_plan_cache_;
+    previous = previous_snapshot_;
   }
   if (snap == nullptr) {
     return Status::FailedPrecondition(
         "no catalog snapshot published yet — call Publish first");
   }
-  if (cache == nullptr) {
-    return Status::FailedPrecondition("the plan cache is disabled");
+  if (!options_.plan_cache.enabled) {
+    return Status::FailedPrecondition("plan trees are disabled");
   }
-  if (source == nullptr) {
+  if (previous == nullptr) {
     return Status::FailedPrecondition(
-        "no previous epoch's trie to seed from (publish at least twice)");
+        "no previous epoch's plan trees to walk (publish at least twice)");
   }
-  return WarmSeed(*snap, *cache, *source,
-                  options_.plan_cache.warm_budget);
+  return WalkPlanTrees(*previous, *snap);
 }
 
 Status Engine::CloseImpl(SessionId id) {
@@ -1199,18 +1245,15 @@ Status Engine::EnableDurability(DurabilityOptions options) {
 
 StatusOr<std::shared_ptr<ServiceSession>> Engine::RecoverSession(
     const SerializedSession& saved, std::size_t* divergent_steps) {
-  std::shared_ptr<const CatalogSnapshot> snap;
-  std::shared_ptr<PlanCache> cache;
-  CurrentEpochState(&snap, &cache);
+  std::shared_ptr<const CatalogSnapshot> snap = snapshot();
   AIGS_CHECK(snap != nullptr);  // Recover checks before scanning
   if (saved.fingerprint != snap->fingerprint()) {
     // The catalog changed across the restart; fall back to the migration
     // contract (same hierarchy, tolerated divergence within budget).
     return MigrateDecoded(saved, divergent_steps);
   }
-  AIGS_ASSIGN_OR_RETURN(
-      std::shared_ptr<ServiceSession> session,
-      BuildSession(std::move(snap), std::move(cache), saved.policy_spec));
+  AIGS_ASSIGN_OR_RETURN(std::shared_ptr<ServiceSession> session,
+                        BuildSession(std::move(snap), saved.policy_spec));
   AIGS_RETURN_NOT_OK(ReplayTranscript(*session, saved.steps,
                                       ReplayMode::kExact,
                                       /*max_divergence=*/0, divergent_steps));
@@ -1331,37 +1374,21 @@ Status Engine::FlushDurable() {
   return store == nullptr ? Status::OK() : store->Sync();
 }
 
-std::shared_ptr<PlanCache> Engine::plan_cache() const {
-  std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  return plan_cache_;
-}
-
 EngineStats Engine::Stats() const {
   EngineStats stats;
-  std::shared_ptr<PlanCache> cache;
-  std::shared_ptr<PlanCache> previous_cache;
-  std::uint64_t previous_epoch = 0;
-  {
-    std::lock_guard<std::mutex> lock(snapshot_mutex_);
-    stats.epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch();
-    cache = plan_cache_;
-    previous_cache = previous_plan_cache_;
-    previous_epoch =
-        previous_snapshot_ == nullptr ? 0 : previous_snapshot_->epoch();
-  }
+  const std::shared_ptr<const CatalogSnapshot> current = snapshot();
+  stats.epoch = current == nullptr ? 0 : current->epoch();
   stats.sessions_by_epoch = sessions_.SessionsByEpoch();
   for (const auto& [epoch, count] : stats.sessions_by_epoch) {
     stats.live_sessions += count;
   }
-  if (cache != nullptr) {
-    stats.plan_cache_enabled = true;
-    stats.plan_cache = cache->stats();
-    stats.plan_cache_by_epoch.emplace(stats.epoch, stats.plan_cache);
-  }
-  if (previous_cache != nullptr) {
-    stats.plan_cache_by_epoch.emplace(previous_epoch,
-                                      previous_cache->stats());
-  }
+  stats.plan_cache_enabled = options_.plan_cache.enabled;
+  stats.plan_cache.hits = plan_hits_.load(std::memory_order_relaxed);
+  stats.plan_cache.misses = plan_misses_.load(std::memory_order_relaxed);
+  stats.plan_cache.evictions = plan_refused_.load(std::memory_order_relaxed);
+  stats.plan_cache.nodes = stats.plan_cache_enabled && current != nullptr
+                               ? current->plan_tree_nodes()
+                               : 0;
   stats.sessions_migrated =
       sessions_migrated_.load(std::memory_order_relaxed);
   stats.migration_failures =

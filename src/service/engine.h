@@ -15,10 +15,10 @@
 // Epoch lifecycle (PR 5, backgrounded in PR 6). A publish no longer
 // strands the old epoch:
 //
-//  * WARM SEED — before the fresh plan trie serves cold, the hottest
-//    prefixes of the outgoing trie are harvested and replayed against the
-//    new snapshot's planners, pre-seeding the new trie so the
-//    common-prefix Ask path stays a cache hit across the swap.
+//  * WARM WALK — before the fresh plan trees serve cold, the outgoing
+//    epoch's trees are walked breadth-first against the new snapshot's
+//    planners, so the shared shallow prefixes are planned again and the
+//    common-prefix Ask path stays a tree read across the swap.
 //  * MIGRATE SWEEP — idle sessions still bound to older epochs are
 //    migrated onto the new snapshot by divergence-tolerant transcript
 //    replay: steps the new planner reproduces replay exactly; steps it
@@ -55,7 +55,7 @@
 #include "core/policy.h"
 #include "service/catalog_snapshot.h"
 #include "service/durable_store.h"
-#include "service/plan_cache.h"
+#include "service/plan_tree.h"
 #include "service/session_codec.h"
 #include "service/session_manager.h"
 #include "util/status.h"
@@ -90,6 +90,36 @@ struct SessionAnswer {
   }
 };
 
+/// Plan-tree knob. Every policy is a pure planner, so engines with plan
+/// trees on and off emit bit-identical transcripts: the trees are purely a
+/// throughput knob.
+struct PlanCacheOptions {
+  /// Serve Ask from each published policy's PlanTree
+  /// (service/plan_tree.h), and walk the previous epoch's trees on
+  /// publish.
+  bool enabled = true;
+};
+
+/// Monotonic plan-tree counters over the engine's lifetime, plus the node
+/// count of the current epoch's trees. hits + misses is the number of Asks
+/// that resolved a new question (re-reads of a pending question are not
+/// counted; an Answer sent without an Ask resolves one too); a miss ran
+/// the planner, whether on or off the tree.
+struct PlanCacheStats {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  /// Tree nodes refused at the node limit (the session planned live from
+  /// there on).
+  std::uint64_t evictions = 0;
+  std::size_t nodes = 0;
+
+  double hit_rate() const {
+    const std::uint64_t total = hits + misses;
+    return total == 0 ? 0.0
+                      : static_cast<double>(hits) / static_cast<double>(total);
+  }
+};
+
 /// Cross-epoch migration knobs.
 struct MigrationOptions {
   /// Maximum divergent steps tolerated per migrated transcript — recorded
@@ -104,12 +134,12 @@ struct MigrationOptions {
 
 /// Background drain pipeline knobs (the publish→warm→sweep pipeline).
 struct DrainOptions {
-  /// Run the warm seed and the migration sweep on a background worker so
+  /// Run the warm walk and the migration sweep on a background worker so
   /// Publish returns after the O(1) snapshot swap. When false both run
   /// inline on the publishing thread (the PR-5 behavior) — deterministic,
   /// single-threaded, and linear in the session count.
   bool background = true;
-  /// Sessions migrated (or hot prefixes replayed) per batch; between
+  /// Sessions migrated (or plan-tree nodes walked) per batch; between
   /// batches the worker checks for shutdown and newer publishes.
   std::size_t batch_size = 256;
   /// Soft cap on continuous batch time per tick; when it elapses the
@@ -123,7 +153,7 @@ struct DrainOptions {
 /// Where the background drain pipeline currently is.
 enum class DrainPhase : std::uint8_t {
   kIdle = 0,      ///< no drain in flight
-  kWarming = 1,   ///< replaying hot prefixes into the fresh plan trie
+  kWarming = 1,   ///< walking the old plan trees into the fresh ones
   kSweeping = 2,  ///< migrating idle old-epoch sessions in batches
 };
 
@@ -139,8 +169,8 @@ struct DrainStats {
   std::uint64_t target_epoch = 0;
   /// Old-epoch sessions the in-flight sweep still has to visit.
   std::size_t sessions_remaining = 0;
-  /// Warm-seed progress of the in-flight (or last) drain: prefixes
-  /// harvested and prefixes fully replayed so far.
+  /// Warm-walk progress of the in-flight (or last) drain: nodes in the
+  /// previous epoch's plan trees, and those walked onto the new trees.
   std::size_t warm_total = 0;
   std::size_t warm_seeded = 0;
   /// Cumulative counters across all drains.
@@ -158,10 +188,7 @@ struct DrainStats {
 
 struct EngineOptions {
   SessionManagerOptions sessions;
-  /// The per-epoch question-plan trie behind Ask (including the
-  /// warm-publish seeding knobs). Enabled by default: with every policy a
-  /// pure planner, cached and uncached engines emit bit-identical
-  /// transcripts, so the cache is purely a throughput knob.
+  /// The per-epoch plan trees behind Ask.
   PlanCacheOptions plan_cache;
   MigrationOptions migration;
   DrainOptions drain;
@@ -253,12 +280,9 @@ struct EngineStats {
   /// Live sessions keyed by their current epoch (old epochs drain as their
   /// sessions finish or migrate after a hot swap).
   std::map<std::uint64_t, std::size_t> sessions_by_epoch;
-  /// Plan-trie counters per retained epoch: the current epoch's trie and —
-  /// while any warm-seed source is still held — the previous epoch's.
-  /// Each carries the seeded/organic hit split.
+  /// Plan-tree counters (see PlanCacheStats).
   bool plan_cache_enabled = false;
-  PlanCacheStats plan_cache;  // current epoch (zeros before first Publish)
-  std::map<std::uint64_t, PlanCacheStats> plan_cache_by_epoch;
+  PlanCacheStats plan_cache;
   /// Per-op request traffic (opens/asks/answers/... + rejected-by-status).
   OpStats ops;
   /// Cumulative migration counters (explicit Migrate + publish sweeps).
@@ -293,8 +317,8 @@ class Engine {
   // ---- snapshot lifecycle ---------------------------------------------------
 
   /// Builds a snapshot from `config` at the next epoch and makes it
-  /// current. The follow-up work — warm-seeding the new plan trie from the
-  /// old epoch's hottest prefixes and migrating idle sessions over — runs
+  /// current. The follow-up work — walking the old epoch's plan trees into
+  /// the new ones and migrating idle sessions over — runs
   /// on the background drain worker (or inline, per DrainOptions), so the
   /// call itself is O(1) in the session count past the snapshot build.
   /// Existing busy sessions keep the snapshot they are on; traffic never
@@ -329,11 +353,11 @@ class Engine {
                            SessionId proposed_id = 0);
 
   /// The pending question (or kDone carrying the identified target).
-  /// Idempotent; refreshes the session's TTL. Consults the session
-  /// epoch's plan trie first — a warm common-prefix Ask is one id probe,
-  /// never a planner run — and falls back to the session's pure planner on
-  /// a miss (populating the trie for every later session at the same
-  /// prefix).
+  /// Idempotent; refreshes the session's TTL. Reads the question at the
+  /// session's node of its policy's plan tree — a known prefix is one array
+  /// read, never a planner run — and falls back to the session's pure
+  /// planner on a miss (planning the node for every later session at the
+  /// same prefix).
   StatusOr<Query> Ask(SessionId id);
 
   /// Applies an answer to the pending question. InvalidArgument when the
@@ -379,9 +403,9 @@ class Engine {
   /// old epoch.
   MigrateSweepStats MigrateIdleSessions();
 
-  /// Re-seeds the CURRENT epoch's trie from the previous epoch's hottest
-  /// prefixes (the publish-time warm path, callable on demand — the serve
-  /// REPL's `warm` command). Returns the number of prefixes replayed.
+  /// Walks the previous epoch's plan trees into the CURRENT epoch's (the
+  /// publish-time warm path, callable on demand — the serve REPL's `warm`
+  /// command). Returns the number of old tree nodes walked.
   StatusOr<std::size_t> Warm();
 
   /// Closes and discards a session.
@@ -426,13 +450,8 @@ class Engine {
 
   SessionManager& sessions() { return sessions_; }
 
-  /// The current epoch's plan cache (null when disabled or before the first
-  /// Publish). Old epochs' caches live on in their sessions until those
-  /// drain or migrate.
-  std::shared_ptr<PlanCache> plan_cache() const;
-
   /// Operational counters: epoch, session counts (total and per epoch),
-  /// per-epoch plan-trie hit/miss/seeded numbers, migration totals.
+  /// plan-tree hits/misses/nodes, migration totals.
   EngineStats Stats() const;
 
  private:
@@ -497,25 +516,27 @@ class Engine {
   /// checkpoint is in flight. Called off the hot path (no locks held).
   void MaybeAutoCheckpoint();
 
-  /// Atomically reads the current (snapshot, plan cache) pair.
-  void CurrentEpochState(std::shared_ptr<const CatalogSnapshot>* snap,
-                         std::shared_ptr<PlanCache>* cache) const;
-
-  /// Builds a fresh ServiceSession on `snap` for `policy_spec` — the one
-  /// place the snapshot/cache pairing and the plan-key seeding convention
-  /// live (Open, Resume, and Migrate all construct through here).
+  /// Builds a fresh ServiceSession on `snap` for `policy_spec`, at the root
+  /// of the policy's plan tree (Open, Resume, and Migrate all construct
+  /// through here).
   StatusOr<std::shared_ptr<ServiceSession>> BuildSession(
       std::shared_ptr<const CatalogSnapshot> snap,
-      std::shared_ptr<PlanCache> cache, const std::string& policy_spec);
+      const std::string& policy_spec);
 
   /// The session's pending question: the memoized one if Ask already
-  /// resolved it, else a trie hit, else the pure planner (whose answer is
-  /// then inserted for every later session at the same prefix). Caller
-  /// holds the session mutex.
+  /// resolved it, else the plan at its tree node, else the pure planner
+  /// (whose question is then planned at the node for every later session
+  /// at the same prefix). Caller holds the session mutex.
   Query ResolvePending(ServiceSession& session);
 
+  /// The child of `node` along `step` in `plans`, counting a refusal at
+  /// the node limit; kOffTree when there is no tree or the session is off
+  /// it.
+  PlanTree::NodeIndex Descend(PlanTree* plans, PlanTree::NodeIndex node,
+                              const TranscriptStep& step);
+
   /// Replays `steps` into the freshly built `session` (search state,
-  /// transcript, rolling plan key, trie population). In kTolerant mode
+  /// transcript, plan-tree walk and planning). In kTolerant mode
   /// divergent steps are folded via TryApplyObserved and flagged; more
   /// than `max_divergence` of them fails the replay. `session` must be
   /// private to the caller (no lock taken).
@@ -532,27 +553,24 @@ class Engine {
   StatusOr<MigrateResult> MigrateLocked(SessionId id,
                                         ServiceSession& session);
 
-  /// Replays up to `budget` hot prefixes of `source` against `snap`'s
-  /// planners, inserting the plans into `target` as seeded entries.
-  /// Returns the number of prefixes replayed (skipping unreplayable ones).
-  std::size_t WarmSeed(const CatalogSnapshot& snap, PlanCache& target,
-                       const PlanCache& source, std::size_t budget);
-
-  /// Replays ONE hot prefix (the batch unit of the background warm phase).
-  /// True when the full prefix replayed onto `snap`'s planners.
-  bool WarmSeedPrefix(const CatalogSnapshot& snap, PlanCache& target,
-                      const HotPrefix& prefix);
+  /// Walks `from`'s plan trees into `to`'s in one go (the inline warm
+  /// path); returns the old nodes walked.
+  std::size_t WalkPlanTrees(const CatalogSnapshot& from,
+                            const CatalogSnapshot& to);
 
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const CatalogSnapshot> snapshot_;
-  std::shared_ptr<PlanCache> plan_cache_;
-  /// The previous epoch's (snapshot, trie) pair, retained as the warm-seed
-  /// source until the next publish replaces it.
+  /// The previous epoch's snapshot, retained as the warm-walk source until
+  /// the next publish replaces it.
   std::shared_ptr<const CatalogSnapshot> previous_snapshot_;
-  std::shared_ptr<PlanCache> previous_plan_cache_;
   std::uint64_t next_epoch_ = 1;
   EngineOptions options_;
   SessionManager sessions_;
+
+  /// PlanCacheStats counters.
+  std::atomic<std::uint64_t> plan_hits_{0};
+  std::atomic<std::uint64_t> plan_misses_{0};
+  std::atomic<std::uint64_t> plan_refused_{0};
 
   std::atomic<std::uint64_t> sessions_migrated_{0};
   std::atomic<std::uint64_t> migration_failures_{0};

@@ -89,7 +89,7 @@ std::string SessionCodec::Encode(const SerializedSession& session) {
     AppendStepKey(step, &out);
     if (step.diverged) {
       // The flag rides after the content fields so flagged and unflagged
-      // lines share the AppendStepKey prefix (and hence the trie edges).
+      // lines share the AppendStepKey prefix.
       out.insert(out.size() - 1, " d");
     }
   }

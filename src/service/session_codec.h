@@ -63,15 +63,13 @@ class SessionCodec {
 
   /// Appends the compact one-line encoding of `step` (the line Encode
   /// writes, newline-terminated, WITHOUT the divergence flag — divergence
-  /// is replay bookkeeping, not transcript content) to `*out`. The
-  /// service-layer PlanCache uses these lines as its trie edges, so cache
-  /// edges and saved transcripts share one encoding.
+  /// is replay bookkeeping, not transcript content) to `*out`. WAL step
+  /// records carry these lines.
   static void AppendStepKey(const TranscriptStep& step, std::string* out);
 
   /// Parses one step line (the AppendStepKey encoding, with or without the
   /// trailing divergence flag and/or newline) back into a TranscriptStep —
-  /// the inverse the warm-publish seeder uses to replay a hot trie prefix
-  /// onto a fresh snapshot. InvalidArgument on malformed input.
+  /// the inverse WAL recovery uses. InvalidArgument on malformed input.
   static StatusOr<TranscriptStep> ParseStepLine(std::string_view line);
 };
 

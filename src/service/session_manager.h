@@ -26,7 +26,7 @@
 
 #include "core/policy.h"
 #include "service/catalog_snapshot.h"
-#include "service/plan_cache.h"
+#include "service/plan_tree.h"
 #include "service/session_codec.h"
 #include "util/status.h"
 
@@ -45,10 +45,9 @@ struct ServiceSession {
   std::shared_ptr<const CatalogSnapshot> snapshot;
   std::string policy_spec;
   const Policy* policy = nullptr;
-  /// The plan trie of the session's current epoch (null when caching is
-  /// disabled). Held per session so an epoch hot-swap retires the old trie
-  /// together with its snapshot refcount as sessions drain or migrate off.
-  std::shared_ptr<PlanCache> plan_cache;
+  /// The policy's plan tree on `snapshot` (null when the engine's plan
+  /// trees are off); `snapshot` keeps it alive.
+  PlanTree* plans = nullptr;
 
   /// The bound snapshot's epoch, mirrored atomically so SessionsByEpoch can
   /// aggregate without taking every session mutex while migrations rebind
@@ -58,9 +57,9 @@ struct ServiceSession {
   std::mutex mutex;
   std::unique_ptr<SearchSession> search;
   std::vector<TranscriptStep> transcript;
-  /// Interned trie position for the transcript so far — the O(1) rolling
-  /// plan key (kNoPlanPrefix when caching is off or past the depth cap).
-  PlanPrefixId plan_prefix = kNoPlanPrefix;
+  /// The transcript's node in `plans`; kOffTree once the session left the
+  /// tree (node limit, or a step whose question is not the node's).
+  PlanTree::NodeIndex plan_node = PlanTree::kOffTree;
   /// The question Ask last resolved (from the cache or the planner), so the
   /// matching Answer validates and applies without a second resolution.
   Query pending;

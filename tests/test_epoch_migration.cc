@@ -1,5 +1,5 @@
-// Epoch lifecycle (PR 5): cross-epoch session migration, warm-publish trie
-// seeding, and the post-publish idle-session sweep.
+// Epoch lifecycle (PR 5): cross-epoch session migration, the warm-publish
+// plan-tree walk, and the post-publish idle-session sweep.
 //  (1) migration equivalence, the hard guarantee: for every registry policy
 //      on trees and DAGs, a session saved on epoch E and migrated to epoch
 //      E' produces a transcript bit-identical to a fresh E' session
@@ -14,10 +14,9 @@
 //  (4) adversarial/malformed migration inputs — truncated blobs,
 //      wrong-hierarchy blobs, out-of-range node ids, v1 blobs, divergence
 //      on phase-automaton policies — all return Status, never abort;
-//  (5) warm publish: the fresh trie is pre-seeded from the old epoch's
-//      hottest prefixes (seeded/organic stats split; a fresh session asks
-//      through warm prefixes without planner misses), and seeding onto a
-//      snapshot where a prefix question no longer exists degrades
+//  (5) warm publish: the old epoch's plan trees are walked into the new
+//      ones (a fresh session asks through the walked prefixes without
+//      planner misses), and a walk onto a different hierarchy is skipped
 //      gracefully;
 //  (6) the publish sweep: idle old-epoch sessions migrate automatically,
 //      sessions mid-question stay pinned, and an explicitly migrated
@@ -632,12 +631,12 @@ TEST(EpochMigration, ContradictoryObservedStepsStillRefuseGracefully) {
 
 // ---- (5) warm publish -------------------------------------------------------
 
-TEST(EpochMigration, WarmPublishSeedsTheFreshTrieFromHotPrefixes) {
+TEST(EpochMigration, WarmPublishWalksThePreviousPlanTrees) {
   const MigrationCase c = std::move(Cases().front());
-  Engine engine;  // warm_publish defaults on
+  Engine engine;  // plan trees and background draining on by default
   ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
 
-  // Heat epoch 1's trie: several sessions share the early prefixes.
+  // Plan epoch 1's tree: several sessions share the early prefixes.
   const NodeId target = static_cast<NodeId>(c.hierarchy.NumNodes() - 1);
   for (int i = 0; i < 4; ++i) {
     ExactOracle oracle(c.hierarchy.reach(), target);
@@ -647,36 +646,33 @@ TEST(EpochMigration, WarmPublishSeedsTheFreshTrieFromHotPrefixes) {
     ASSERT_TRUE(engine.Close(*id).ok());
   }
 
-  // Publish with the SAME weights: the seeded plans equal the old ones, so
-  // a fresh session must walk its whole transcript on pure trie hits.
-  // Publish returns after the O(1) swap; the seeding itself runs on the
-  // background drain worker, so wait for it before reading trie stats.
+  // Publish with the SAME weights: the walk replans the old tree's nodes
+  // on the new epoch, so a fresh session walks its whole transcript on
+  // tree reads. Publish returns after the O(1) swap; the walk itself runs
+  // on the background drain worker, so wait for it first.
   ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());
   engine.WaitForDrain();
-  const std::shared_ptr<PlanCache> trie = engine.plan_cache();
-  ASSERT_NE(trie, nullptr);
-  const PlanCacheStats seeded = trie->stats();
-  EXPECT_GT(seeded.seeded_inserts, 0u);
-  EXPECT_EQ(seeded.seeded_inserts, seeded.inserts);
+  const PlanCacheStats walked = engine.Stats().plan_cache;
+  EXPECT_GT(walked.nodes, 1u);
+  EXPECT_GT(engine.DrainProgress().warm_seeded, 0u);
 
   ExactOracle oracle(c.hierarchy.reach(), target);
   auto id = engine.Open("greedy_naive");
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(Drive(engine, *id, oracle, SIZE_MAX), target);
   ASSERT_TRUE(engine.Close(*id).ok());
-  const PlanCacheStats after = trie->stats();
-  EXPECT_GT(after.hits, 0u);
-  EXPECT_GT(after.seeded_hits, 0u);
-  EXPECT_EQ(after.misses, seeded.misses)
-      << "the warm-seeded trie should serve the whole repeat transcript";
+  const PlanCacheStats after = engine.Stats().plan_cache;
+  EXPECT_GT(after.hits, walked.hits);
+  EXPECT_EQ(after.misses, walked.misses)
+      << "the walked tree should serve the whole repeat transcript";
 
-  // The explicit Warm() path reports a replayed-prefix count too.
+  // The explicit Warm() path reports the nodes it walked too.
   const auto warmed = engine.Warm();
   ASSERT_TRUE(warmed.ok()) << warmed.status().ToString();
   EXPECT_GT(*warmed, 0u);
 }
 
-TEST(EpochMigration, WarmSeedingOntoSmallerHierarchySkipsStalePrefixes) {
+TEST(EpochMigration, WarmWalkOntoSmallerHierarchySkipsTheOldTrees) {
   const MigrationCase c = std::move(Cases().front());
   Engine engine;
   ASSERT_TRUE(engine.Publish(ConfigFor(c)).ok());

@@ -21,6 +21,9 @@
 //       Interactive search on the built-in vehicle hierarchy.
 #include <csignal>
 #include <unistd.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <chrono>
@@ -286,17 +289,16 @@ void ServeHelp() {
       "                         (divergence-tolerant; idle sessions also "
       "migrate\n"
       "                         automatically after publish)\n"
-      "  warm                   re-seed the current epoch's plan trie from "
+      "  warm                   walk the previous epoch's plan trees into "
       "the\n"
-      "                         previous epoch's hottest prefixes\n"
+      "                         current epoch's (breadth-first)\n"
       "  close <id>             discard a session\n"
       "  sessions               live session count\n"
       "  stats                  request traffic (per-op + rejected-by-"
       "status),\n"
-      "                         per-epoch session counts, per-epoch plan-"
-      "trie\n"
-      "                         counters (seeded vs organic hits), "
-      "migrations,\n"
+      "                         per-epoch session counts, plan-tree nodes,"
+      "\n"
+      "                         hits and misses, migrations,\n"
       "                         persistence (wal bytes, records since "
       "checkpoint,\n"
       "                         last fsync, last recovery summary)\n"
@@ -312,12 +314,13 @@ void ServeHelp() {
       "                         + WAL tail), keep logging into it\n"
       "  epoch                  current snapshot epoch + fingerprint\n"
       "  drain                  background drain progress (phase, sessions\n"
-      "                         remaining, warm-seed and sweep counters)\n"
+      "                         remaining, warm-walk and sweep counters)\n"
       "  publish <counts.txt>   load new counts, publish a new epoch — an "
       "O(1)\n"
-      "                         swap; trie warm-seeding and the idle-"
-      "session\n"
-      "                         sweep run on the background drain worker\n"
+      "                         swap; the plan-tree warm walk and the idle-"
+      "\n"
+      "                         session sweep run on the background drain "
+      "worker\n"
       "  policies               prebuilt policy specs\n"
       "  quit                   exit\n");
 }
@@ -377,8 +380,23 @@ void InstallServeSignalHandlers() {
   sigaction(SIGINT, &action, nullptr);
 }
 
+/// Heap retention for the long-running server: every `publish` frees one
+/// epoch's set-up buffers and allocates the next epoch's. glibc's default
+/// thresholds are dynamic — a freed block above them raises them, and the
+/// heap top is trimmed back to the kernel — so each publish re-faults its
+/// buffers page by page. Fixed thresholds, set once, keep blocks up to
+/// glibc's 32 MiB mmap ceiling on the heap and keep up to 256 MiB of free
+/// heap for reuse.
+void RetainHeapForPublishes() {
+#ifdef __GLIBC__
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
+}
+
 int CmdServe(const std::string& hierarchy_path,
              const std::vector<std::string>& rest) {
+  RetainHeapForPublishes();
   auto graph = LoadHierarchySpec(hierarchy_path);
   if (!graph.ok()) {
     return Fail(graph.status());
@@ -572,13 +590,13 @@ int CmdServe(const std::string& hierarchy_path,
                     "question)\n", raw_id);
       }
     } else if (command == "warm") {
-      auto seeded = engine.Warm();
-      if (!seeded.ok()) {
-        warn(seeded.status());
+      auto walked = engine.Warm();
+      if (!walked.ok()) {
+        warn(walked.status());
         continue;
       }
-      std::printf("replayed %zu hot prefix(es) from the previous epoch's "
-                  "trie into the current one\n", *seeded);
+      std::printf("walked %zu node(s) of the previous epoch's plan trees "
+                  "into the current ones\n", *walked);
     } else if (command == "ask" || command == "answer" ||
                command == "close" || command == "save") {
       unsigned long long raw_id = 0;
@@ -690,29 +708,17 @@ int CmdServe(const std::string& hierarchy_path,
         std::printf("\n");
       }
       if (!s.plan_cache_enabled) {
-        std::printf("plan cache: disabled\n");
+        std::printf("plan trees: disabled\n");
       } else {
-        for (const auto& [epoch, c] : s.plan_cache_by_epoch) {
-          std::printf("plan trie (epoch %llu): %llu hit(s) — %llu seeded / "
-                      "%llu organic — %llu miss(es), %llu eviction(s), "
-                      "hit rate %.1f%%\n",
-                      static_cast<unsigned long long>(epoch),
-                      static_cast<unsigned long long>(c.hits),
-                      static_cast<unsigned long long>(c.seeded_hits),
-                      static_cast<unsigned long long>(c.hits -
-                                                      c.seeded_hits),
-                      static_cast<unsigned long long>(c.misses),
-                      static_cast<unsigned long long>(c.evictions),
-                      100.0 * c.hit_rate());
-          std::printf("  %llu insert(s) — %llu warm-seeded / %llu organic "
-                      "— %zu entr%s, ~%zu KiB resident\n",
-                      static_cast<unsigned long long>(c.inserts),
-                      static_cast<unsigned long long>(c.seeded_inserts),
-                      static_cast<unsigned long long>(c.inserts -
-                                                      c.seeded_inserts),
-                      c.entries, c.entries == 1 ? "y" : "ies",
-                      c.bytes >> 10);
-        }
+        const PlanCacheStats& c = s.plan_cache;
+        std::printf("plan trees: %zu node(s) on epoch %llu; %llu hit(s), "
+                    "%llu miss(es), hit rate %.1f%%, %llu refused at the "
+                    "node limit\n",
+                    c.nodes, static_cast<unsigned long long>(s.epoch),
+                    static_cast<unsigned long long>(c.hits),
+                    static_cast<unsigned long long>(c.misses),
+                    100.0 * c.hit_rate(),
+                    static_cast<unsigned long long>(c.evictions));
       }
       std::printf("migrations: %llu session(s) migrated, %llu failure(s)\n",
                   static_cast<unsigned long long>(s.sessions_migrated),
@@ -755,13 +761,13 @@ int CmdServe(const std::string& hierarchy_path,
     } else if (command == "drain") {
       const DrainStats d = engine.DrainProgress();
       if (!d.background) {
-        std::printf("background draining is off — publishes warm-seed and "
+        std::printf("background draining is off — publishes warm-walk and "
                     "sweep inline\n");
         continue;
       }
       std::printf("phase %s, target epoch %llu\n", DrainPhaseName(d.phase),
                   static_cast<unsigned long long>(d.target_epoch));
-      std::printf("  warm-seed: %zu / %zu hot prefix(es) replayed\n",
+      std::printf("  warm walk: %zu / %zu plan-tree node(s) walked\n",
                   d.warm_seeded, d.warm_total);
       std::printf("  sweep: %zu session(s) remaining, %llu batch(es) run, "
                   "last batch %zu\n",
@@ -859,8 +865,8 @@ int CmdServe(const std::string& hierarchy_path,
         warn(published.status());
         continue;
       }
-      std::printf("published epoch %llu — swap took %.3f ms (trie warm-"
-                  "seeding and the idle-session sweep continue in the "
+      std::printf("published epoch %llu — swap took %.3f ms (the plan-"
+                  "tree warm walk and the idle-session sweep continue in the "
                   "background; see 'drain'; sessions mid-question stay on "
                   "their epoch)\n",
                   static_cast<unsigned long long>((*published)->epoch()),
