@@ -7,7 +7,6 @@
 #include "core/batched_greedy.h"
 #include "core/middle_point.h"
 #include "core/split_weight_index.h"
-#include "core/tree_weight_index.h"
 #include "data/synthetic_catalog.h"
 #include "eval/runner.h"
 #include "graph/candidate_set.h"
@@ -90,14 +89,23 @@ void BM_ClosureConstruction(benchmark::State& state) {
 BENCHMARK(BM_ClosureConstruction)->Arg(1000)->Arg(2000)->Arg(4000)
     ->Complexity();
 
-void BM_SubtreeWeightInit(benchmark::State& state) {
+// One GreedyTree-style answer pair on the Euler-mode overlay: open a
+// session, remove one child subtree of the root, descend into a sibling.
+void BM_TreeSessionNoYes(benchmark::State& state) {
   const Hierarchy& h = TreeHierarchy();
+  const SplitWeightBase base(h, TreeDist().weights());
+  const auto children = h.graph().Children(h.root());
+  AIGS_CHECK(children.size() >= 2);
+  std::size_t i = 0;
   for (auto _ : state) {
-    TreeWeightBase base(h.tree(), TreeDist().weights());
-    benchmark::DoNotOptimize(base.Total());
+    SplitWeightIndex session(base);
+    session.ApplyNo(children[i]);
+    session.ApplyYes(children[(i + 1) % children.size()]);
+    benchmark::DoNotOptimize(session.TotalAlive());
+    i = (i + 1) % children.size();
   }
 }
-BENCHMARK(BM_SubtreeWeightInit);
+BENCHMARK(BM_TreeSessionNoYes);
 
 void BM_MiddlePointNaiveScan(benchmark::State& state) {
   const Hierarchy& h = DagHierarchy();
@@ -225,7 +233,7 @@ BENCHMARK(BM_TreeSessionCreation);
 
 // Sessions/sec on the split-weight selection layer: the old design rebuilt
 // the whole index per session (BM_SplitBaseBuild* is exactly that cost —
-// Fenwick/prefix construction over all n nodes); the new design opens a
+// the per-node reach weights over all n nodes); the new design opens a
 // session as an O(1) overlay over the prebuilt base (BM_SplitSessionCreate*).
 template <const Hierarchy& (*GetHierarchy)(), const Distribution& (*GetDist)()>
 void BM_SplitBaseBuild(benchmark::State& state) {
@@ -333,17 +341,6 @@ void BM_MaskedWeightedSumBlockedSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MaskedWeightedSumBlockedSweep);
-
-void BM_OnlineWeightUpdate(benchmark::State& state) {
-  const Hierarchy& h = TreeHierarchy();
-  GreedyTreePolicy policy(h, TreeDist());
-  Rng rng(5);
-  for (auto _ : state) {
-    policy.mutable_base()->AddWeight(
-        static_cast<NodeId>(rng.UniformInt(h.NumNodes())), 1);
-  }
-}
-BENCHMARK(BM_OnlineWeightUpdate);
 
 }  // namespace
 }  // namespace aigs

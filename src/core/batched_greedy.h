@@ -13,9 +13,9 @@
 //
 // Selection backends (both ask identical question batches):
 //  * kSplitIndex (default): the round simulation runs on a SplitWeightIndex
-//    scratch — O(alive · log n) per pick on trees, O(alive · n/64) on DAGs —
-//    and each arriving answer is folded in as one bitset intersection /
-//    Euler-range operation instead of a per-candidate reachability loop.
+//    scratch — O(alive) per pick on trees, O(alive · n/64) on DAGs — and
+//    each arriving answer is folded in as one bitset intersection /
+//    ancestor-path update instead of a per-candidate reachability loop.
 //  * kBfsRescan: the original per-pick BFS scan over a copied candidate set
 //    (O(k·n·m) per round), kept as the equivalence reference.
 #ifndef AIGS_CORE_BATCHED_GREEDY_H_

@@ -18,11 +18,7 @@ class CostSensitiveSession final : public SearchSession {
   }
 
   void ApplyReach(NodeId q, bool yes) override {
-    if (yes) {
-      state_.ApplyYes(q);
-    } else {
-      state_.ApplyNo(q);
-    }
+    state_.ApplyPlanned(q, yes);
   }
 
   Status ApplyObservedStep(const TranscriptStep& step) override {
@@ -35,7 +31,7 @@ class CostSensitiveSession final : public SearchSession {
  private:
   // argmax over alive v != root of p(G_v∩C)·p(C\G_v)/c(v), compared by exact
   // 128-bit cross multiplication: a/ca > b/cb  <=>  a·cb > b·ca. The inside
-  // weight comes from the incremental index (O(log n) per candidate on
+  // weight comes from the incremental index (O(1) per candidate on
   // trees, O(n/64) on DAGs) instead of a session overlay. Enumeration order
   // is mode-dependent, so ties break explicitly toward the smaller node id —
   // the same winner the ascending-id scan picked.
@@ -49,7 +45,7 @@ class CostSensitiveSession final : public SearchSession {
       if (v == r) {
         return;
       }
-      const Weight inside = state_.ReachWeight(v);
+      const Weight inside = state_.AliveReachWeight(v);
       const U128 product =
           static_cast<U128>(inside) * static_cast<U128>(total - inside);
       const std::uint32_t cost = costs_->CostOf(v);

@@ -31,8 +31,8 @@ struct CostSensitiveOptions {
 };
 
 /// Cost-sensitive greedy policy (any hierarchy). Selection scans all alive
-/// candidates per round on the shared SplitWeightIndex — O(alive · log n)
-/// per pick on trees, O(alive · n/64) on DAGs; the heavy-path shortcut of
+/// candidates per round on the shared SplitWeightIndex — O(alive) per pick
+/// on trees, O(alive · n/64) on DAGs; the heavy-path shortcut of
 /// Theorem 5 does not carry over to heterogeneous prices, and dominance
 /// pruning is unsound once prices skew the objective.
 class CostSensitiveGreedyPolicy : public Policy {

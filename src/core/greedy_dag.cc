@@ -16,11 +16,7 @@ class GreedyDagSession final : public SearchSession {
   }
 
   void ApplyReach(NodeId q, bool yes) override {
-    if (yes) {
-      index_.ApplyYes(q);
-    } else {
-      index_.ApplyNo(q);
-    }
+    index_.ApplyPlanned(q, yes);
   }
 
   Status ApplyObservedStep(const TranscriptStep& step) override {

@@ -38,8 +38,8 @@ struct GreedyDagOptions {
   bool disable_dominance_pruning = false;
 };
 
-/// Greedy policy on DAGs (works on trees too; GreedyTree is the faster
-/// specialization there).
+/// Greedy policy on DAGs (works on trees too, where it runs on the same
+/// Euler-mode SplitWeightIndex overlay as GreedyTree).
 class GreedyDagPolicy : public Policy {
  public:
   GreedyDagPolicy(const Hierarchy& hierarchy, const Distribution& dist,

@@ -135,11 +135,7 @@ class GreedyNaiveIndexSession final : public SearchSession {
   }
 
   void ApplyReach(NodeId q, bool yes) override {
-    if (yes) {
-      index_.ApplyYes(q);
-    } else {
-      index_.ApplyNo(q);
-    }
+    index_.ApplyPlanned(q, yes);
   }
 
   Status ApplyObservedStep(const TranscriptStep& step) override {

@@ -2,8 +2,8 @@
 // queries the exact weighted middle point of the alive candidate set.
 //
 // Two selection backends compute that argmin:
-//  * kSplitIndex (default): the shared SplitWeightIndex — O(alive · log n)
-//    per pick on trees (Fenwick over Euler order), O(alive · n/64) on DAGs
+//  * kSplitIndex (default): the shared SplitWeightIndex — O(alive) per
+//    pick on trees (one overlay probe per node), O(alive · n/64) on DAGs
 //    (masked weighted popcount over closure rows), with dominance pruning
 //    cutting the scanned frontier further.
 //  * kBfsRescan: the original Algorithm 2/3 loop — a fresh forward BFS per

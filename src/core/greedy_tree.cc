@@ -1,6 +1,7 @@
 #include "core/greedy_tree.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "util/node_map.h"
@@ -22,85 +23,32 @@ bool MoreThanHalf(Weight subtree, Weight total) {
 }
 
 /// One search session implementing the Algorithm 4 descent over a
-/// TreeSearchState overlay.
+/// SplitWeightIndex (its Euler mode is Algorithm 4's removed-subtree
+/// overlay).
 class GreedyTreeSession final : public SearchSession {
  public:
-  GreedyTreeSession(const TreeWeightBase& base,
+  GreedyTreeSession(const SplitWeightBase& base,
                     GreedyTreeOptions::ChildScan child_scan)
-      : state_(base), child_scan_(child_scan) {}
+      : index_(base), child_scan_(child_scan) {}
 
   Query PlanQuestion() const override {
-    if (state_.CandidateCount() == 1) {
-      return Query::Done(state_.Target());
+    if (index_.AliveCount() == 1) {
+      return Query::Done(index_.Target());
     }
     return Query::ReachQuery(SelectQueryNode());
   }
 
   void ApplyReach(NodeId q, bool yes) override {
-    if (yes) {
-      state_.ApplyYes(q);
-    } else {
-      state_.ApplyNo(q);
-      // Removal invalidates cached heap entries along the ancestor path;
-      // the lazy heap self-heals by re-checking weights on pop.
-    }
+    // A removal invalidates cached heap entries along the ancestor path;
+    // the lazy heap self-heals by re-checking weights on pop.
+    index_.ApplyPlanned(q, yes);
   }
 
-  // Observed fold (cross-epoch migration): normalize the question against
-  // the tree geometry before touching the state, so a question another
-  // epoch's planner picked never trips the descend-only invariants.
   Status ApplyObservedStep(const TranscriptStep& step) override {
     if (step.kind != Query::Kind::kReach) {
       return SearchSession::ApplyObservedStep(step);
     }
-    const Tree& tree = state_.base().tree();
-    const NodeId q = step.nodes[0];
-    if (q >= tree.NumNodes()) {
-      return Status::OutOfRange("observed question node " +
-                                std::to_string(q) +
-                                " outside the hierarchy");
-    }
-    const NodeId r = state_.root();
-    if (q == r || tree.InSubtree(q, r)) {
-      // q is the root or an ancestor: yes is already known, no contradicts
-      // the earlier yes that moved the root here.
-      return step.yes ? Status::OK()
-                      : Status::InvalidArgument(
-                            "observed no for ancestor node " +
-                            std::to_string(q) +
-                            " contradicts the transcript so far");
-    }
-    if (!tree.InSubtree(r, q)) {
-      // Disjoint subtree: a tree target under r is never under q, so yes
-      // is inconsistent and no is free.
-      return step.yes ? Status::InvalidArgument(
-                            "observed yes for node " + std::to_string(q) +
-                            " outside the candidate subtree")
-                      : Status::OK();
-    }
-    // q lies strictly under the root; check whether an earlier no already
-    // removed it (walk the ancestor chain up to r — O(depth), replay only).
-    bool removed = false;
-    for (NodeId a = q; a != r && a != kInvalidNode; a = tree.Parent(a)) {
-      if (state_.IsRemovedTop(a)) {
-        removed = true;
-        break;
-      }
-    }
-    if (removed) {
-      return step.yes ? Status::InvalidArgument(
-                            "observed yes for node " + std::to_string(q) +
-                            " inside an eliminated subtree")
-                      : Status::OK();  // already known
-    }
-    if (step.yes) {
-      state_.ApplyYes(q);
-    } else {
-      // Removing T_q never empties the candidates: the root answered yes,
-      // so it stays a candidate outside T_q.
-      state_.ApplyNo(q);
-    }
-    return Status::OK();
+    return index_.TryApplyObservedReach(step.nodes[0], step.yes);
   }
 
  private:
@@ -109,12 +57,12 @@ class GreedyTreeSession final : public SearchSession {
   // better of the last two nodes visited. Never returns the current root
   // (its answer is known to be yes).
   NodeId SelectQueryNode() const {
-    const NodeId r = state_.root();
-    const Weight total = state_.SubtreeWeight(r);
+    const NodeId r = index_.root();
+    const Weight total = index_.TotalAlive();
     NodeId u = kInvalidNode;
     NodeId v = r;
     NodeId first_child = kInvalidNode;
-    while (MoreThanHalf(state_.SubtreeWeight(v), total) &&
+    while (MoreThanHalf(index_.AliveReachWeight(v), total) &&
            !IsSessionLeaf(v)) {
       u = v;
       v = MaxWeightAliveChild(v);
@@ -130,8 +78,8 @@ class GreedyTreeSession final : public SearchSession {
       return MaxWeightAliveChild(r);
     }
     const NodeId q =
-        SplitDiff(state_.SubtreeWeight(u), total) <=
-                SplitDiff(state_.SubtreeWeight(v), total)
+        SplitDiff(index_.AliveReachWeight(u), total) <=
+                SplitDiff(index_.AliveReachWeight(v), total)
             ? u
             : v;
     // Querying the root is a wasted question; fall to its heavy child.
@@ -139,7 +87,9 @@ class GreedyTreeSession final : public SearchSession {
   }
 
   // A node is a leaf of the candidate tree when no descendant survives.
-  bool IsSessionLeaf(NodeId v) const { return state_.SubtreeSize(v) == 1; }
+  bool IsSessionLeaf(NodeId v) const {
+    return index_.AliveReachCount(v) == 1;
+  }
 
   NodeId MaxWeightAliveChild(NodeId v) const {
     return child_scan_ == GreedyTreeOptions::ChildScan::kLinear
@@ -148,17 +98,13 @@ class GreedyTreeSession final : public SearchSession {
   }
 
   NodeId MaxChildLinear(NodeId v) const {
-    const Tree& tree = state_.base().tree();
     NodeId best = kInvalidNode;
     Weight best_weight = 0;
-    for (const NodeId c : tree.Children(v)) {
-      if (state_.IsRemovedTop(c)) {
-        continue;
-      }
-      const Weight w = state_.SubtreeWeight(c);
-      if (best == kInvalidNode || w > best_weight) {
+    for (const NodeId c : index_.hierarchy().graph().Children(v)) {
+      const std::optional<Weight> w = index_.AliveChildReachWeight(c);
+      if (w && (best == kInvalidNode || *w > best_weight)) {
         best = c;
-        best_weight = w;
+        best_weight = *w;
       }
     }
     return best;
@@ -170,9 +116,10 @@ class GreedyTreeSession final : public SearchSession {
   NodeId MaxChildHeap(NodeId v) const {
     auto& heap = heaps_[v];
     if (!heap.initialized) {
-      const Tree& tree = state_.base().tree();
-      for (const NodeId c : tree.Children(v)) {
-        heap.entries.push_back({state_.SubtreeWeight(c), c});
+      for (const NodeId c : index_.hierarchy().graph().Children(v)) {
+        if (const std::optional<Weight> w = index_.AliveChildReachWeight(c)) {
+          heap.entries.push_back({*w, c});
+        }
       }
       std::make_heap(heap.entries.begin(), heap.entries.end());
       heap.initialized = true;
@@ -180,17 +127,17 @@ class GreedyTreeSession final : public SearchSession {
     auto& entries = heap.entries;
     while (!entries.empty()) {
       const auto [cached_weight, c] = entries.front();
-      if (state_.IsRemovedTop(c)) {
+      const std::optional<Weight> current = index_.AliveChildReachWeight(c);
+      if (!current) {
         std::pop_heap(entries.begin(), entries.end());
         entries.pop_back();
         continue;
       }
-      const Weight current = state_.SubtreeWeight(c);
-      if (current == cached_weight) {
+      if (*current == cached_weight) {
         return c;
       }
       std::pop_heap(entries.begin(), entries.end());
-      entries.back() = {current, c};
+      entries.back() = {*current, c};
       std::push_heap(entries.begin(), entries.end());
     }
     return kInvalidNode;
@@ -201,7 +148,7 @@ class GreedyTreeSession final : public SearchSession {
     std::vector<std::pair<Weight, NodeId>> entries;
   };
 
-  TreeSearchState state_;
+  SplitWeightIndex index_;
   GreedyTreeOptions::ChildScan child_scan_;
   // Planner memoization: lazily-built per-node max-heaps over child subtree
   // weights. Self-healing (stale tops re-check current weights on pop), so
@@ -214,11 +161,11 @@ class GreedyTreeSession final : public SearchSession {
 GreedyTreePolicy::GreedyTreePolicy(const Hierarchy& hierarchy,
                                    const Distribution& dist,
                                    GreedyTreeOptions options)
-    : hierarchy_(&hierarchy),
-      options_(options),
-      base_(hierarchy.tree(), options.use_rounded_weights
-                                  ? RoundWeights(dist, options.rounding)
-                                  : dist.weights()) {
+    : options_(options),
+      weights_(options.use_rounded_weights
+                   ? RoundWeights(dist, options.rounding)
+                   : dist.weights()),
+      base_(hierarchy, weights_) {
   AIGS_CHECK(hierarchy.is_tree());
   AIGS_CHECK(dist.size() == hierarchy.NumNodes());
 }

@@ -2,7 +2,9 @@
 // greedy policy on tree hierarchies. Each round descends the weighted heavy
 // path from the current root — Theorem 5 proves it contains a middle point —
 // so query selection costs O(h·d) (or O(h log d) with the lazy-heap child
-// scan) instead of the naive O(n·m).
+// scan) instead of the naive O(n·m). Sessions run on the shared
+// SplitWeightIndex, whose Euler mode is Algorithm 4's removed-subtree
+// overlay: the walk reads each alive node's session subtree weight in O(1).
 //
 // Approximation guarantee: (1+√5)/2 ≈ 1.618 on trees (Theorem 2).
 #ifndef AIGS_CORE_GREEDY_TREE_H_
@@ -14,7 +16,7 @@
 
 #include "core/hierarchy.h"
 #include "core/policy.h"
-#include "core/tree_weight_index.h"
+#include "core/split_weight_index.h"
 #include "prob/distribution.h"
 #include "prob/rounding.h"
 
@@ -38,26 +40,23 @@ struct GreedyTreeOptions {
 /// Greedy policy on trees. The hierarchy must satisfy is_tree().
 class GreedyTreePolicy : public Policy {
  public:
-  /// Binds the policy to a hierarchy and a target distribution. Both must
-  /// outlive the policy; the distribution's weights are copied.
+  /// Binds the policy to a hierarchy and a target distribution. The
+  /// hierarchy must outlive the policy; the distribution's weights are
+  /// copied.
   GreedyTreePolicy(const Hierarchy& hierarchy, const Distribution& dist,
                    GreedyTreeOptions options = {});
 
   std::string name() const override { return "GreedyTree"; }
   std::unique_ptr<SearchSession> NewSession() const override;
 
-  /// Live weight access for the online-learning harness. Only meaningful
-  /// with use_rounded_weights == false; do not mutate while sessions from
-  /// this policy are in flight.
-  TreeWeightBase* mutable_base() { return &base_; }
-  const TreeWeightBase& base() const { return base_; }
-
   const GreedyTreeOptions& options() const { return options_; }
 
  private:
-  const Hierarchy* hierarchy_;
   GreedyTreeOptions options_;
-  TreeWeightBase base_;
+  std::vector<Weight> weights_;
+  // Shared immutable selection base over weights_; sessions are O(1)
+  // overlays over it.
+  SplitWeightBase base_;
 };
 
 }  // namespace aigs

@@ -8,7 +8,8 @@ namespace aigs {
 
 /// How a middle-point policy evaluates w(R(v) ∩ C) during selection.
 enum class SelectionBackend {
-  /// Incremental SplitWeightIndex (Fenwick / closure-popcount).
+  /// Incremental SplitWeightIndex (removed-subtree overlay / closure
+  /// popcount).
   kSplitIndex,
   /// Per-candidate BFS rescans (the paper's naive baseline).
   kBfsRescan,

@@ -9,62 +9,50 @@ SplitWeightBase::SplitWeightBase(const Hierarchy& hierarchy,
     : hierarchy_(&hierarchy),
       reach_(&hierarchy.reach()),
       node_weights_(&weights),
-      euler_(hierarchy.reach().euler_mode()) {
+      euler_(hierarchy.reach().euler_mode()),
+      full_reach_weight_(hierarchy.reach().AllReachableSetWeights(weights)) {
   AIGS_CHECK(weights.size() == hierarchy.NumNodes());
-  const std::size_t n = hierarchy.NumNodes();
+  for (const Weight w : weights) {
+    total_ += w;
+  }
   if (euler_) {
-    euler_prefix_.resize(n + 1);
-    euler_prefix_[0] = 0;
-    for (std::uint32_t t = 0; t < n; ++t) {
-      euler_prefix_[t + 1] =
-          euler_prefix_[t] + weights[reach_->NodeAtEuler(t)];
+    return;
+  }
+  compressed_ =
+      reach_->storage() == ReachabilityIndex::Storage::kCompressedClosure;
+  if (compressed_) {
+    // Sessions keep their alive bitsets in the compressed closure's
+    // position space, so the weight table (and its block sums) must be
+    // permuted the same way.
+    const CompressedClosure& cc = reach_->compressed();
+    const std::size_t n = hierarchy.NumNodes();
+    pos_weights_.resize(n);
+    for (std::size_t p = 0; p < n; ++p) {
+      pos_weights_[p] = weights[cc.node_at_pos(p)];
     }
-    total_ = euler_prefix_[n];
+    pos_blocked_ = BlockedWeights(pos_weights_);
   } else {
-    full_reach_weight_ = reach_->AllReachableSetWeights(weights);
-    compressed_ =
-        reach_->storage() == ReachabilityIndex::Storage::kCompressedClosure;
-    if (compressed_) {
-      // Sessions keep their alive bitsets in the compressed closure's
-      // position space, so the weight table (and its block sums) must be
-      // permuted the same way.
-      const CompressedClosure& cc = reach_->compressed();
-      pos_weights_.resize(n);
-      for (std::size_t p = 0; p < n; ++p) {
-        pos_weights_[p] = weights[cc.node_at_pos(p)];
-      }
-      pos_blocked_ = BlockedWeights(pos_weights_);
-    } else {
-      blocked_ = BlockedWeights(weights);
-    }
-    total_ = 0;
-    for (const Weight w : weights) {
-      total_ += w;
-    }
+    blocked_ = BlockedWeights(weights);
   }
 }
 
 SplitWeightIndex::SplitWeightIndex(const SplitWeightBase& base)
     : base_(&base),
       euler_(base.euler_mode()),
-      compressed_(base.compressed_mode()) {
+      compressed_(base.compressed_mode()),
+      // Euler sessions take their table at Open: a median Amazon GreedyTree
+      // session ends with 21 entries, so 64 slots keep its answers free of
+      // allocation. Closure sessions never use the map and allocate nothing.
+      removed_(euler_ ? 64 : 0) {
   Reset();
 }
 
 void SplitWeightIndex::Reset() {
-  const std::size_t n = base_->hierarchy().NumNodes();
   root_ = base_->hierarchy().root();
-  alive_count_ = n;
+  alive_count_ = base_->hierarchy().NumNodes();
   total_alive_ = base_->Total();
-  if (euler_) {
-    window_begin_ = 0;
-    window_end_ = static_cast<std::uint32_t>(n);
-    removed_.clear();
-    removed_prefix_weight_.assign(1, 0);
-    removed_prefix_count_.assign(1, 0);
-  } else {
-    materialized_ = false;
-  }
+  removed_.Clear();
+  materialized_ = false;
 }
 
 void SplitWeightIndex::ResetFrom(const SplitWeightIndex& other) {
@@ -73,11 +61,7 @@ void SplitWeightIndex::ResetFrom(const SplitWeightIndex& other) {
   alive_count_ = other.alive_count_;
   total_alive_ = other.total_alive_;
   if (euler_) {
-    window_begin_ = other.window_begin_;
-    window_end_ = other.window_end_;
     removed_ = other.removed_;
-    removed_prefix_weight_ = other.removed_prefix_weight_;
-    removed_prefix_count_ = other.removed_prefix_count_;
   } else {
     materialized_ = other.materialized_;
     if (materialized_) {
@@ -86,76 +70,43 @@ void SplitWeightIndex::ResetFrom(const SplitWeightIndex& other) {
   }
 }
 
-// ---- removed-interval bookkeeping (Euler mode) ------------------------------
+// ---- removed-subtree overlay (Euler mode) ----------------------------------
 
-std::size_t SplitWeightIndex::FirstRemovedAtOrAfter(std::uint32_t pos) const {
-  return static_cast<std::size_t>(
-      std::lower_bound(removed_.begin(), removed_.end(), pos,
-                       [](const RemovedRange& r, std::uint32_t p) {
-                         return r.begin < p;
-                       }) -
-      removed_.begin());
-}
-
-void SplitWeightIndex::RebuildRemovedPrefixes(std::size_t from) {
-  removed_prefix_weight_.resize(removed_.size() + 1);
-  removed_prefix_count_.resize(removed_.size() + 1);
-  if (from == 0) {
-    removed_prefix_weight_[0] = 0;
-    removed_prefix_count_[0] = 0;
-    from = 1;
+bool SplitWeightIndex::AliveBelowRoot(NodeId v) const {
+  if (v == root_ || !base_->reach().Reaches(root_, v)) {
+    return false;
   }
-  for (std::size_t i = from; i <= removed_.size(); ++i) {
-    const RemovedRange& r = removed_[i - 1];
-    removed_prefix_weight_[i] = removed_prefix_weight_[i - 1] +
-                                base_->EulerRangeWeight(r.begin, r.end);
-    removed_prefix_count_[i] =
-        removed_prefix_count_[i - 1] + (r.end - r.begin);
+  // The root itself is never a removed top while candidates remain.
+  const Tree& tree = base_->hierarchy().tree();
+  for (NodeId a = v; a != root_; a = tree.Parent(a)) {
+    if (removed_.GetOr(a, Removed{}).top) {
+      return false;
+    }
   }
+  return true;
 }
 
-Weight SplitWeightIndex::RemovedWeightWithin(std::uint32_t a,
-                                             std::uint32_t b) const {
-  // Laminarity: an interval with begin ∈ [a, b) is nested inside [a, b).
-  const std::size_t lo = FirstRemovedAtOrAfter(a);
-  const std::size_t hi = FirstRemovedAtOrAfter(b);
-  return removed_prefix_weight_[hi] - removed_prefix_weight_[lo];
-}
-
-std::uint32_t SplitWeightIndex::RemovedCountWithin(std::uint32_t a,
-                                                   std::uint32_t b) const {
-  const std::size_t lo = FirstRemovedAtOrAfter(a);
-  const std::size_t hi = FirstRemovedAtOrAfter(b);
-  return removed_prefix_count_[hi] - removed_prefix_count_[lo];
-}
-
-bool SplitWeightIndex::CoveredByRemoved(std::uint32_t a,
-                                        std::uint32_t b) const {
-  const std::size_t idx = FirstRemovedAtOrAfter(a + 1);
-  // removed_[idx - 1] is the last interval starting at or before a.
-  return idx > 0 && removed_[idx - 1].end >= b;
-}
-
-void SplitWeightIndex::MarkWindowDead(std::uint32_t begin,
-                                      std::uint32_t end) {
-  window_begin_ = begin;
-  window_end_ = end;
-  removed_.clear();
-  if (begin < end) {
-    removed_.push_back(RemovedRange{begin, end});
-  }
-  RebuildRemovedPrefixes(0);
-  alive_count_ = 0;
-  total_alive_ = 0;
+const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
+SplitWeightIndex::SortedRemovedWindows() const {
+  // Enumerates the removed tops rather than probing the map at every Euler
+  // position; tops outside T_root are stale (an earlier root's) and
+  // skipped.
+  const ReachabilityIndex& reach = base_->reach();
+  windows_.clear();
+  removed_.ForEach([&](NodeId v, const Removed& r) {
+    if (r.top && reach.Reaches(root_, v)) {
+      windows_.emplace_back(reach.EulerBegin(v), reach.EulerEnd(v));
+    }
+  });
+  std::sort(windows_.begin(), windows_.end());
+  return windows_;
 }
 
 // ---- state queries ----------------------------------------------------------
 
 bool SplitWeightIndex::IsAlive(NodeId v) const {
   if (euler_) {
-    const std::uint32_t t = base_->reach().EulerBegin(v);
-    return t >= window_begin_ && t < window_end_ &&
-           !CoveredByRemoved(t, t + 1);
+    return alive_count_ > 0 && (v == root_ || AliveBelowRoot(v));
   }
   if (!materialized_) {
     return true;
@@ -166,15 +117,7 @@ bool SplitWeightIndex::IsAlive(NodeId v) const {
 NodeId SplitWeightIndex::Target() const {
   AIGS_CHECK(alive_count_ == 1);
   if (euler_) {
-    std::uint32_t pos = window_begin_;
-    for (const RemovedRange& r : removed_) {
-      if (r.begin > pos) {
-        break;
-      }
-      pos = r.end;
-    }
-    AIGS_DCHECK(pos < window_end_);
-    return base_->reach().NodeAtEuler(pos);
+    return root_;  // the root is a candidate while any remain
   }
   if (!materialized_) {
     return base_->hierarchy().root();  // n == 1
@@ -187,13 +130,13 @@ NodeId SplitWeightIndex::Target() const {
 
 Weight SplitWeightIndex::ReachWeight(NodeId v) const {
   if (euler_) {
-    const std::uint32_t a =
-        std::max(window_begin_, base_->reach().EulerBegin(v));
-    const std::uint32_t b = std::min(window_end_, base_->reach().EulerEnd(v));
-    if (a >= b || CoveredByRemoved(a, b)) {
+    if (alive_count_ == 0) {
       return 0;
     }
-    return base_->EulerRangeWeight(a, b) - RemovedWeightWithin(a, b);
+    if (base_->reach().Reaches(v, root_)) {
+      return total_alive_;  // v is the root or above it
+    }
+    return AliveBelowRoot(v) ? AliveReachWeight(v) : 0;
   }
   if (!materialized_) {
     return base_->FullReachWeight(v);
@@ -210,13 +153,13 @@ Weight SplitWeightIndex::ReachWeight(NodeId v) const {
 
 std::size_t SplitWeightIndex::ReachCount(NodeId v) const {
   if (euler_) {
-    const std::uint32_t a =
-        std::max(window_begin_, base_->reach().EulerBegin(v));
-    const std::uint32_t b = std::min(window_end_, base_->reach().EulerEnd(v));
-    if (a >= b || CoveredByRemoved(a, b)) {
+    if (alive_count_ == 0) {
       return 0;
     }
-    return (b - a) - RemovedCountWithin(a, b);
+    if (base_->reach().Reaches(v, root_)) {
+      return alive_count_;
+    }
+    return AliveBelowRoot(v) ? AliveReachCount(v) : 0;
   }
   if (!materialized_) {
     return base_->reach().ReachableCount(v);
@@ -247,36 +190,27 @@ void SplitWeightIndex::ApplyYes(NodeId q) {
   // the rooted selection descents rely on.
   const bool moves_down = base_->reach().Reaches(root_, q);
   if (euler_) {
-    const std::uint32_t a =
-        std::max(window_begin_, base_->reach().EulerBegin(q));
-    const std::uint32_t b = std::min(window_end_, base_->reach().EulerEnd(q));
-    if (moves_down) {
-      root_ = q;
-    }
-    if (a >= b) {
-      // R(q) is disjoint from the window: nothing survives.
-      MarkWindowDead(window_begin_, window_begin_);
+    if (q == root_ || alive_count_ == 0) {
+      root_ = moves_down ? q : root_;
       return;
     }
-    if (CoveredByRemoved(a, b)) {
-      // q itself is dead: R(q) ∩ C is empty.
-      MarkWindowDead(a, b);
+    if (!moves_down) {
+      // q is above the root (no information) or disjoint from T_root
+      // (nothing survives).
+      if (!base_->reach().Reaches(q, root_)) {
+        KillAll();
+      }
       return;
     }
-    // Keep only the removed intervals nested inside the new window (an
-    // interval is either nested or disjoint — laminarity).
-    const std::size_t lo = FirstRemovedAtOrAfter(a);
-    const std::size_t hi = FirstRemovedAtOrAfter(b);
-    if (lo > 0) {
-      removed_.erase(removed_.begin(),
-                     removed_.begin() + static_cast<std::ptrdiff_t>(lo));
+    if (AliveBelowRoot(q)) {
+      // The deltas inside T_q stay exact: every removal below q was added
+      // to q and its descendants on the way up to the old root.
+      total_alive_ = AliveReachWeight(q);
+      alive_count_ = AliveReachCount(q);
+    } else {
+      KillAll();  // q itself is dead: R(q) ∩ C is empty
     }
-    removed_.resize(hi - lo);
-    window_begin_ = a;
-    window_end_ = b;
-    RebuildRemovedPrefixes(0);
-    total_alive_ = base_->EulerRangeWeight(a, b) - RemovedWeightWithin(a, b);
-    alive_count_ = (b - a) - RemovedCountWithin(a, b);
+    root_ = q;
     return;
   }
   if (compressed_) {
@@ -322,26 +256,40 @@ void SplitWeightIndex::ApplyYes(NodeId q) {
 
 void SplitWeightIndex::ApplyNo(NodeId q) {
   if (euler_) {
-    const std::uint32_t a =
-        std::max(window_begin_, base_->reach().EulerBegin(q));
-    const std::uint32_t b = std::min(window_end_, base_->reach().EulerEnd(q));
-    if (a >= b || CoveredByRemoved(a, b)) {
-      return;  // R(q) is disjoint from the candidates or already dead
+    if (alive_count_ == 0) {
+      return;
     }
-    const Weight dead_weight =
-        base_->EulerRangeWeight(a, b) - RemovedWeightWithin(a, b);
-    const std::uint32_t dead_count = (b - a) - RemovedCountWithin(a, b);
-    // Replace the intervals nested inside [a, b) with the one merged
-    // interval.
-    const std::size_t lo = FirstRemovedAtOrAfter(a);
-    const std::size_t hi = FirstRemovedAtOrAfter(b);
-    removed_.erase(removed_.begin() + static_cast<std::ptrdiff_t>(lo),
-                   removed_.begin() + static_cast<std::ptrdiff_t>(hi));
-    removed_.insert(removed_.begin() + static_cast<std::ptrdiff_t>(lo),
-                    RemovedRange{a, b});
-    RebuildRemovedPrefixes(lo);
-    total_alive_ -= dead_weight;
-    alive_count_ -= dead_count;
+    const ReachabilityIndex& reach = base_->reach();
+    if (reach.Reaches(q, root_)) {
+      KillAll();  // q is the root or above it: every candidate is in R(q)
+      return;
+    }
+    const Removed own = removed_.GetOr(q, Removed{});
+    if (own.top || !reach.Reaches(root_, q)) {
+      return;  // already removed, or disjoint from the candidates
+    }
+    // Algorithm 4, lines 11–14: T_q's session weight and count leave every
+    // node from q's parent up to the root. A removed top met on the way
+    // means q was dead all along: the walk stops there, having touched only
+    // nodes inside that removed subtree, whose deltas are never read again.
+    const Tree& tree = base_->hierarchy().tree();
+    const Weight w = base_->FullReachWeight(q) - own.weight;
+    const std::uint32_t c =
+        static_cast<std::uint32_t>(reach.ReachableCount(q)) - own.count;
+    for (NodeId a = tree.Parent(q);; a = tree.Parent(a)) {
+      Removed& r = removed_[a];
+      if (r.top) {
+        return;
+      }
+      r.weight += w;
+      r.count += c;
+      if (a == root_) {
+        break;
+      }
+    }
+    removed_[q].top = true;
+    total_alive_ -= w;
+    alive_count_ -= c;
     return;
   }
   if (!materialized_) {
@@ -360,6 +308,20 @@ void SplitWeightIndex::ApplyNo(NodeId q) {
   total_alive_ -= alive_.MaskedWeightedSum(row, base_->blocked_weights());
   alive_count_ -= alive_.IntersectionCount(row);
   alive_.AndNotWith(row);
+}
+
+void SplitWeightIndex::ApplyPlanned(NodeId q, bool yes) {
+  AIGS_DCHECK(q != root_ && IsAlive(q));
+  if (!yes) {
+    ApplyNo(q);
+  } else if (euler_) {
+    const Removed below = removed_.GetOr(q, Removed{});
+    total_alive_ = base_->FullReachWeight(q) - below.weight;
+    alive_count_ = base_->reach().ReachableCount(q) - below.count;
+    root_ = q;
+  } else {
+    ApplyYes(q);
+  }
 }
 
 Status SplitWeightIndex::TryApplyObservedReach(NodeId q, bool yes) {
@@ -428,7 +390,7 @@ MiddlePoint SplitWeightIndex::FindMiddlePoint() const {
   // every global minimizer, making the (diff, id) argmin identical to the
   // naive full scan's.
   DescendFromRoot([&](NodeId v) {
-    const Weight w = ReachWeight(v);
+    const Weight w = AliveReachWeight(v);
     // Overflow-safe |2w − total| as |w − (total − w)|; w ≤ total.
     const Weight rest = total - w;
     const Weight diff = w > rest ? w - rest : rest - w;
@@ -460,14 +422,12 @@ MiddlePoint SplitWeightIndex::FindSplittingMiddlePoint() const {
     // Subtree weights are non-increasing along alive paths, so a pruned
     // splitting node's descendants all carry a strictly worse diff than the
     // current best and can never become the (diff, id) argmin: the result
-    // is bit-identical to the flat scan. Post-yes intersection states win
-    // the most — their windows concentrate mass near the root, which is
-    // exactly where the dominance rule cuts the frontier.
+    // is bit-identical to the flat scan.
     DescendFromRoot([&](NodeId v) {
-      if (ReachCount(v) == count) {
+      if (AliveReachCount(v) == count) {
         return true;  // covering: wasted question, keep descending
       }
-      const Weight w = ReachWeight(v);
+      const Weight w = AliveReachWeight(v);
       const Weight rest = total - w;
       const Weight diff = w > rest ? w - rest : rest - w;
       if (best.node == kInvalidNode || diff < best.split_diff ||
@@ -485,8 +445,8 @@ MiddlePoint SplitWeightIndex::FindSplittingMiddlePoint() const {
   ForEachAlive([&](NodeId v) {
     // The count gates the "splits the set" requirement, the weight feeds
     // the diff. Materialized closure mode fuses both into one word scan
-    // (per-chunk over compressed rows); the other modes check the (cheap)
-    // count first and skip the weight sum for covering nodes.
+    // (per-chunk over compressed rows); a pristine session checks the
+    // (cheap) count first and skips the weight sum for covering nodes.
     Weight w;
     if (closure_fused) {
       const DynamicBitset::CountAndWeight cw =
@@ -500,10 +460,10 @@ MiddlePoint SplitWeightIndex::FindSplittingMiddlePoint() const {
       }
       w = cw.weight;
     } else {
-      if (ReachCount(v) == count) {
+      if (AliveReachCount(v) == count) {
         return;  // "yes" is certain; the question is wasted
       }
-      w = ReachWeight(v);
+      w = AliveReachWeight(v);
     }
     const Weight rest = total - w;
     const Weight diff = w > rest ? w - rest : rest - w;

@@ -1,26 +1,34 @@
-// SplitWeightIndex — the shared incremental selection layer behind the
+// SplitWeightIndex — the one incremental selection layer behind every
+// greedy policy: GreedyTree (Algorithm 4), GreedyDAG (Algorithm 6), the
 // middle-point policies (GreedyNaive, BatchedGreedy, CostSensitiveGreedy)
-// and the DAG policies (GreedyDAG, WIGS-DAG).
+// and WIGS-DAG.
 //
 // The naive selection rule recomputes w(R(v) ∩ C) with a fresh forward BFS
 // from every alive candidate on every pick: O(n·m) per question. This layer
 // makes that quantity incremental AND makes starting a search O(1): an
 // immutable SplitWeightBase (built once per policy, shared by every
-// session) holds all O(n) precomputation, and each SplitWeightIndex session
-// is a small overlay whose state is proportional to the answers received —
-// the same base+overlay shape TreeSearchState uses. No per-session Fenwick
-// rebuild, no per-session O(n) anything; a service front end can open
-// sessions per user request at memory-bandwidth cost.
+// session) holds all O(n) precomputation — w(R(v)) for every node — and
+// each SplitWeightIndex session is a small overlay whose state is
+// proportional to the answers received. No per-session O(n) anything; a
+// service front end can open sessions per user request at memory-bandwidth
+// cost.
 //
 // Two modes, chosen by the hierarchy's reachability index:
 //
-//  * Euler mode (trees): the base stores prefix sums of the weights in
-//    Euler-tour order. A session's alive set is always one window (the
-//    current root's Euler interval) minus a sorted list of disjoint removed
-//    intervals (one per distinct no-answer; Euler intervals are laminar, so
-//    nested removals merge away). w(R(v) ∩ C) is two O(log answers) binary
-//    searches over that list plus a prefix-sum difference; a yes-answer
-//    narrows the window, a no-answer inserts one interval.
+//  * Euler mode (trees): Algorithm 4's removed-subtree overlay. A session
+//    is the current root plus one NodeMap of per-node deltas: the weight
+//    and count that no-answers removed strictly below the node, and a flag
+//    marking the top of each removed subtree. A no-answer on an alive q
+//    adds T_q's session weight and count to every node on the path from
+//    q's parent up to the root and flags q (Algorithm 4, lines 11–14): one
+//    O(depth) walk. A yes-answer moves the root down; the deltas below the
+//    new root stay exact, the rest are never read again. For an alive v,
+//    w(R(v) ∩ C) is w(R(v)) minus v's delta (one probe), and a child of an
+//    alive node is alive unless it is a removed top — the O(1) accessors
+//    the descents read (IsAliveChild, AliveChildReachWeight,
+//    AliveReachWeight, AliveReachCount).
+//    Queries about any other node (dead, above the root, outside it) walk
+//    from the node up to the root: O(depth).
 //
 //  * Closure mode (DAGs): a session starts in a pristine zero-allocation
 //    state that answers every query from the base's full reachable-set
@@ -33,7 +41,8 @@
 //    closure's DFS-preorder *position* space, and every kernel
 //    (fused count+weight, AND, ANDNOT) consumes the interval / chunked
 //    encodings without materializing a dense row — cost proportional to the
-//    compressed row size instead of n/64.
+//    compressed row size instead of n/64. The alive-node accessors are the
+//    general queries here.
 //
 // Selection entry points:
 //  * FindMiddlePoint(): minimizes |2·w(R(v) ∩ C) − w(C)| over alive v ≠
@@ -56,8 +65,11 @@
 #ifndef AIGS_CORE_SPLIT_WEIGHT_INDEX_H_
 #define AIGS_CORE_SPLIT_WEIGHT_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/hierarchy.h"
@@ -65,6 +77,7 @@
 #include "util/bitset.h"
 #include "util/common.h"
 #include "util/epoch_marker.h"
+#include "util/node_map.h"
 #include "util/status.h"
 
 namespace aigs {
@@ -90,20 +103,9 @@ class SplitWeightBase {
   /// Σ w over all nodes.
   Weight Total() const { return total_; }
 
-  // ---- Euler mode ----------------------------------------------------------
-
-  /// Σ weights over Euler positions [begin, end).
-  Weight EulerRangeWeight(std::uint32_t begin, std::uint32_t end) const {
-    return euler_prefix_[end] - euler_prefix_[begin];
-  }
-
   /// w(R(v)) over the full hierarchy (the pristine session's ReachWeight,
   /// and an upper bound on every session's). Either mode.
-  Weight FullReachWeight(NodeId v) const {
-    return euler_ ? EulerRangeWeight(reach_->EulerBegin(v),
-                                     reach_->EulerEnd(v))
-                  : full_reach_weight_[v];
-  }
+  Weight FullReachWeight(NodeId v) const { return full_reach_weight_[v]; }
 
   // ---- closure mode --------------------------------------------------------
 
@@ -120,11 +122,10 @@ class SplitWeightBase {
   bool compressed_ = false;
   Weight total_ = 0;
 
-  // Euler mode: prefix sums of weights permuted to Euler order (size n+1).
-  std::vector<Weight> euler_prefix_;
-
-  // Closure mode: full reachable-set weights and the blocked weight table.
+  // w(R(v)) for every node (trees: Algorithm 5's subtree weights).
   std::vector<Weight> full_reach_weight_;
+
+  // Dense closure mode: the blocked weight table.
   BlockedWeights blocked_;
 
   // Compressed closure mode: weights permuted into position space and their
@@ -156,33 +157,77 @@ class SplitWeightIndex {
   Weight TotalAlive() const { return total_alive_; }
   bool IsAlive(NodeId v) const;
   /// Current search root (moves on ApplyYes; every candidate is reachable
-  /// from it through alive nodes).
+  /// from it through alive nodes, and it is a candidate itself while any
+  /// remain).
   NodeId root() const { return root_; }
   /// The identified target; requires AliveCount() == 1.
   NodeId Target() const;
 
-  /// w(R(v) ∩ C): O(log answers) in Euler mode, O(n/64) in closure mode
-  /// (O(1) while pristine).
+  /// w(R(v) ∩ C) for any node: O(depth) in Euler mode, O(n/64) in closure
+  /// mode (O(1) while pristine).
   Weight ReachWeight(NodeId v) const;
   /// |R(v) ∩ C| with the same costs.
   std::size_t ReachCount(NodeId v) const;
 
+  // ---- alive-node accessors (O(1) in Euler mode) ---------------------------
+
+  /// IsAlive(v) for a node with an alive parent: on trees such a node is
+  /// alive unless a no-answer removed the subtree it heads.
+  bool IsAliveChild(NodeId v) const {
+    return euler_ ? !removed_.GetOr(v, Removed{}).top : IsAlive(v);
+  }
+  /// IsAliveChild(v) and AliveReachWeight(v) in one lookup: the weight of
+  /// a node with an alive parent, or nullopt when it is dead.
+  std::optional<Weight> AliveChildReachWeight(NodeId v) const {
+    if (!euler_) {
+      return IsAlive(v) ? std::optional<Weight>(ReachWeight(v)) : std::nullopt;
+    }
+    const Removed r = removed_.GetOr(v, Removed{});
+    if (r.top) {
+      return std::nullopt;
+    }
+    return base_->FullReachWeight(v) - r.weight;
+  }
+  /// ReachWeight(v) for an alive v.
+  Weight AliveReachWeight(NodeId v) const {
+    return euler_ ? base_->FullReachWeight(v) -
+                        removed_.GetOr(v, Removed{}).weight
+                  : ReachWeight(v);
+  }
+  /// ReachCount(v) for an alive v.
+  std::size_t AliveReachCount(NodeId v) const {
+    if (!euler_) {
+      return ReachCount(v);
+    }
+    const ReachabilityIndex& reach = base_->reach();
+    return reach.EulerEnd(v) - reach.EulerBegin(v) -
+           removed_.GetOr(v, Removed{}).count;
+  }
+
   /// Invokes fn(NodeId) for every alive candidate. Euler mode iterates in
   /// Euler order, dense closure mode in node-id order, compressed closure
   /// mode in DFS-preorder position order — callers that care about order
-  /// must impose their own tie-breaks.
+  /// must impose their own tie-breaks. Euler mode runs on planner scratch:
+  /// not reentrant.
   template <typename Fn>
   void ForEachAlive(Fn&& fn) const {
     if (euler_) {
-      std::uint32_t pos = window_begin_;
-      for (const RemovedRange& r : removed_) {
-        for (std::uint32_t t = pos; t < r.begin; ++t) {
-          fn(base_->reach().NodeAtEuler(t));
-        }
-        pos = r.end;
+      if (alive_count_ == 0) {
+        return;
       }
-      for (std::uint32_t t = pos; t < window_end_; ++t) {
-        fn(base_->reach().NodeAtEuler(t));
+      // T_root's Euler window minus the removed subtrees inside it, skipped
+      // as whole windows (a top nested in an earlier one begins before pos).
+      const ReachabilityIndex& reach = base_->reach();
+      std::uint32_t pos = reach.EulerBegin(root_);
+      for (const auto& [begin, end] : SortedRemovedWindows()) {
+        for (; pos < begin; ++pos) {
+          fn(reach.NodeAtEuler(pos));
+        }
+        pos = std::max(pos, end);
+      }
+      for (const std::uint32_t stop = reach.EulerEnd(root_); pos < stop;
+           ++pos) {
+        fn(reach.NodeAtEuler(pos));
       }
     } else if (!materialized_) {
       const std::size_t n = base_->hierarchy().NumNodes();
@@ -211,8 +256,13 @@ class SplitWeightIndex {
   /// Applies reach(q) = no: candidates ← C \ R(q). Dead `q` allowed.
   void ApplyNo(NodeId q);
 
+  /// Applies the answer to a question the session's planner asked: `q` is
+  /// alive and not the root, as every planned reach question is. Euler
+  /// mode then skips ApplyYes's aliveness walk, so a yes is O(1).
+  void ApplyPlanned(NodeId q, bool yes);
+
   /// Intersects a whole round of answers (one ApplyYes/ApplyNo per
-  /// question) — each question costs one bitset intersection / interval op.
+  /// question).
   void ApplyBatch(std::span<const NodeId> nodes,
                   const std::vector<bool>& answers);
 
@@ -222,17 +272,29 @@ class SplitWeightIndex {
   /// once per alive node discovered (root excluded, in discovery order) and
   /// continues below v only when it returns true. Every alive node is
   /// reachable from root() through alive nodes, so an expand that always
-  /// returns true visits the whole candidate set. Runs on the index's
-  /// planner scratch (sized on first use): not reentrant.
+  /// returns true visits the whole candidate set. expand may read the
+  /// alive-node accessors for v. Runs on the index's planner scratch (sized
+  /// on first use): not reentrant.
   template <typename Expand>
   void DescendFromRoot(Expand&& expand) const {
     const Digraph& g = base_->hierarchy().graph();
+    queue_.clear();
+    queue_.push_back(root_);
+    if (euler_) {
+      // A tree node is discovered once, through its only parent.
+      for (std::size_t head = 0; head < queue_.size(); ++head) {
+        for (const NodeId v : g.Children(queue_[head])) {
+          if (IsAliveChild(v) && expand(v)) {
+            queue_.push_back(v);
+          }
+        }
+      }
+      return;
+    }
     if (visited_.size() != g.NumNodes()) {
       visited_.Resize(g.NumNodes());
     }
     visited_.NewEpoch();
-    queue_.clear();
-    queue_.push_back(root_);
     visited_.Visit(root_);
     for (std::size_t head = 0; head < queue_.size(); ++head) {
       const NodeId u = queue_[head];
@@ -270,33 +332,35 @@ class SplitWeightIndex {
   ///    (inconsistent with the transcript so far);
   ///  * Unimplemented for a yes on an already-eliminated q that still
   ///    splits the candidates (never produced by a genuine same-hierarchy
-  ///    transcript — the rooted descents cannot survive a dead root); a
-  ///    no on an eliminated q folds, since the root stays put;
+  ///    transcript — the rooted descents cannot survive a dead root; on a
+  ///    tree a dead q never splits); a no on an eliminated q folds, since
+  ///    the root stays put;
   ///  * otherwise applies, moving the root only downward (ApplyYes rule).
   Status TryApplyObservedReach(NodeId q, bool yes);
   const Hierarchy& hierarchy() const { return base_->hierarchy(); }
   const std::vector<Weight>& weights() const { return base_->weights(); }
 
  private:
-  /// One maximal dead Euler interval (Euler mode). Intervals are disjoint,
-  /// sorted by begin, and fully inside the window; every position inside
-  /// one is dead, so its dead weight is the base's full range weight.
-  struct RemovedRange {
-    std::uint32_t begin;
-    std::uint32_t end;
+  /// Euler mode: what no-answers removed strictly below one node, and
+  /// whether the node itself heads a removed subtree.
+  struct Removed {
+    Weight weight = 0;
+    std::uint32_t count = 0;
+    bool top = false;
   };
 
-  // Rebuilds removed-interval prefix sums starting at entry `from`.
-  void RebuildRemovedPrefixes(std::size_t from);
-  // Σ dead weight/count over removed intervals nested inside [a, b).
-  Weight RemovedWeightWithin(std::uint32_t a, std::uint32_t b) const;
-  std::uint32_t RemovedCountWithin(std::uint32_t a, std::uint32_t b) const;
-  // True iff [a, b) lies inside one removed interval (fully dead).
-  bool CoveredByRemoved(std::uint32_t a, std::uint32_t b) const;
-  // Index of the first removed interval with begin >= pos.
-  std::size_t FirstRemovedAtOrAfter(std::uint32_t pos) const;
-  // Collapses the session to the all-dead state over [begin, end).
-  void MarkWindowDead(std::uint32_t begin, std::uint32_t end);
+  // Euler mode: true iff v lies strictly below the root and no removed top
+  // sits on the path from v up to the root (O(depth)).
+  bool AliveBelowRoot(NodeId v) const;
+  // Euler mode: the windows [EulerBegin, EulerEnd) of the removed tops
+  // inside T_root, sorted by begin (planner scratch).
+  const std::vector<std::pair<std::uint32_t, std::uint32_t>>&
+  SortedRemovedWindows() const;
+  // Empties the candidate set.
+  void KillAll() {
+    alive_count_ = 0;
+    total_alive_ = 0;
+  }
   // Materializes the closure-mode alive bitset from the pristine state.
   void MaterializeAllAlive();
 
@@ -308,14 +372,8 @@ class SplitWeightIndex {
   std::size_t alive_count_ = 0;
   Weight total_alive_ = 0;
 
-  // Euler mode: the current root's Euler window minus removed intervals,
-  // with prefix sums of each interval's dead weight/count for O(log)
-  // range queries. All O(answers)-sized.
-  std::uint32_t window_begin_ = 0;
-  std::uint32_t window_end_ = 0;
-  std::vector<RemovedRange> removed_;
-  std::vector<Weight> removed_prefix_weight_;   // size removed_.size() + 1
-  std::vector<std::uint32_t> removed_prefix_count_;
+  // Euler mode: per-node removal deltas (Algorithm 4's overlay).
+  NodeMap<Removed> removed_;
 
   // Closure mode: bit v = node v alive (dense) or bit p = the node at
   // position p alive (compressed). Empty until the first answer (pristine
@@ -323,10 +381,11 @@ class SplitWeightIndex {
   bool materialized_ = false;
   DynamicBitset alive_;
 
-  // Scratch for DescendFromRoot; sized lazily on first use so session
-  // construction stays O(1).
+  // Planner scratch for DescendFromRoot and the Euler-mode ForEachAlive;
+  // sized lazily on first use so session construction stays O(1).
   mutable EpochMarker visited_;
   mutable std::vector<NodeId> queue_;
+  mutable std::vector<std::pair<std::uint32_t, std::uint32_t>> windows_;
 };
 
 }  // namespace aigs

@@ -4,7 +4,7 @@
 // A snapshot bundles one (hierarchy, distribution[, cost model]) triple with
 // the registry-constructed policies named in its config. All O(n)
 // precomputation — the hierarchy's ReachabilityIndex, each policy's shared
-// base (SplitWeightBase, or TreeWeightBase for GreedyTree) — happens once at
+// base (a SplitWeightBase for every greedy policy) — happens once at
 // Build() time, so opening a search session against a snapshot is O(1).
 //
 // Beside each policy the snapshot owns that policy's PlanTree: the decision

@@ -1,7 +1,11 @@
 // Small open-addressing hash map from NodeId to a trivially-copyable value.
 // Search sessions overlay a handful of weight deltas on top of shared base
 // arrays; std::unordered_map's allocation-per-node overhead dominates at that
-// scale, so we use a flat power-of-two table with linear probing.
+// scale, so we use a flat power-of-two table with linear probing. The table
+// stays at most half full: the descents probe mostly absent keys, and a
+// miss under linear probing costs ~(1 + 1/(1−load)²)/2 slots — 2.5 at half
+// load against 8.5 at three quarters. A default-constructed map allocates
+// its table on the first insertion, so an unused one costs nothing.
 #ifndef AIGS_UTIL_NODE_MAP_H_
 #define AIGS_UTIL_NODE_MAP_H_
 
@@ -17,7 +21,13 @@ namespace aigs {
 template <typename V>
 class NodeMap {
  public:
-  NodeMap() { Rehash(16); }
+  NodeMap() = default;
+  /// Allocates `capacity` slots (a power of two; 0 = none) up front.
+  explicit NodeMap(std::size_t capacity) {
+    if (capacity > 0) {
+      Rehash(capacity);
+    }
+  }
 
   /// Number of stored keys.
   std::size_t size() const { return size_; }
@@ -33,8 +43,8 @@ class NodeMap {
   /// absent.
   V& operator[](NodeId key) {
     AIGS_DCHECK(key != kInvalidNode);
-    if ((size_ + 1) * 4 > slots_.size() * 3) {
-      Rehash(slots_.size() * 2);
+    if ((size_ + 1) * 2 > slots_.size()) {
+      Rehash(slots_.empty() ? 16 : slots_.size() * 2);
     }
     std::size_t i = Probe(key);
     if (slots_[i].key == kInvalidNode) {
@@ -47,13 +57,16 @@ class NodeMap {
 
   /// Returns the value for `key`, or `fallback` if absent. No insertion.
   V GetOr(NodeId key, V fallback) const {
+    if (size_ == 0) {
+      return fallback;
+    }
     const std::size_t i = Probe(key);
     return slots_[i].key == key ? slots_[i].value : fallback;
   }
 
   /// True iff `key` is present.
   bool Contains(NodeId key) const {
-    return slots_[Probe(key)].key == key;
+    return size_ != 0 && slots_[Probe(key)].key == key;
   }
 
   /// Invokes fn(key, value) for every entry (unspecified order).

@@ -155,6 +155,92 @@ TEST(DagObservedFold, NoForEliminatedNodeThatSplitsFolds) {
   }
 }
 
+TEST(TreeObservedFold, EveryNodeAndAnswerMidSearch) {
+  // Partway through a truthful GreedyTree search, fold an observed answer
+  // for every node and both answers into a replayed session. It must be OK
+  // exactly when the answer leaves a brute-force candidate, and
+  // InvalidArgument when it would empty the set; after an OK fold, a
+  // truthful finish for any remaining candidate must identify it.
+  Rng rng(31);
+  for (int round = 0; round < 12; ++round) {
+    const Hierarchy h = MustBuild(RandomTree(2 + rng.UniformInt(30), rng));
+    const std::size_t n = h.NumNodes();
+    const Distribution dist = UniformRandomDistribution(n, rng);
+    const NodeId target = static_cast<NodeId>(rng.UniformInt(n));
+    const std::size_t prefix_len = rng.UniformInt(4);
+    for (const auto scan : {GreedyTreeOptions::ChildScan::kLinear,
+                            GreedyTreeOptions::ChildScan::kLazyHeap}) {
+      GreedyTreeOptions options;
+      options.child_scan = scan;
+      const GreedyTreePolicy policy(h, dist, options);
+      // The truthful prefix and the candidates it leaves.
+      std::vector<NodeId> candidates(n);
+      for (NodeId v = 0; v < n; ++v) {
+        candidates[v] = v;
+      }
+      const auto replay_prefix = [&]() {
+        auto session = policy.NewSession();
+        for (std::size_t i = 0; i < prefix_len; ++i) {
+          const Query q = session->Next();
+          if (q.kind == Query::Kind::kDone) {
+            break;
+          }
+          session->OnReach(q.node, h.reach().Reaches(q.node, target));
+        }
+        return session;
+      };
+      {
+        auto session = policy.NewSession();
+        for (std::size_t i = 0; i < prefix_len; ++i) {
+          const Query q = session->Next();
+          if (q.kind == Query::Kind::kDone) {
+            break;
+          }
+          const bool yes = h.reach().Reaches(q.node, target);
+          session->OnReach(q.node, yes);
+          std::erase_if(candidates, [&](NodeId x) {
+            return h.reach().Reaches(q.node, x) != yes;
+          });
+        }
+      }
+      for (NodeId q = 0; q < n; ++q) {
+        for (const bool yes : {false, true}) {
+          SCOPED_TRACE("round " + std::to_string(round) + " node " +
+                       std::to_string(q) + (yes ? " yes" : " no"));
+          std::vector<NodeId> after = candidates;
+          std::erase_if(after, [&](NodeId x) {
+            return h.reach().Reaches(q, x) != yes;
+          });
+          auto session = replay_prefix();
+          TranscriptStep step;
+          step.kind = Query::Kind::kReach;
+          step.nodes = {q};
+          step.yes = yes;
+          const Status status = session->TryApplyObserved(step);
+          if (after.empty()) {
+            EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+            continue;
+          }
+          ASSERT_TRUE(status.ok()) << status.ToString();
+          const NodeId finish_target =
+              std::find(after.begin(), after.end(), target) != after.end()
+                  ? target
+                  : after.front();
+          Query next = session->Next();
+          for (std::size_t guard = 0;
+               next.kind != Query::Kind::kDone && guard <= n; ++guard) {
+            session->OnReach(next.node,
+                             h.reach().Reaches(next.node, finish_target));
+            next = session->Next();
+          }
+          ASSERT_EQ(next.kind, Query::Kind::kDone);
+          EXPECT_EQ(next.node, finish_target);
+        }
+      }
+    }
+  }
+}
+
 TEST(Facades, DispatchOnHierarchyKind) {
   Rng rng(1);
   const Hierarchy tree = MustBuild(RandomTree(20, rng));

@@ -2,12 +2,14 @@
 // incremental backends must ask bit-identical question sequences to the
 // naive BFS-rescan references across tree/DAG hierarchies and distribution
 // families, which is what keeps Evaluator results bit-identical after the
-// rewiring; (2) property tests for the Fenwick/bitset state after
-// ApplyYes/ApplyNo/ApplyBatch against brute-force recomputation.
+// rewiring; (2) property tests for the removed-subtree overlay (trees) and
+// the alive-bitset state (DAGs) after ApplyYes/ApplyNo/ApplyBatch against
+// brute-force recomputation.
 #include "core/split_weight_index.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -21,7 +23,6 @@
 #include "graph/generators.h"
 #include "oracle/oracle.h"
 #include "tests/test_support.h"
-#include "util/fenwick.h"
 #include "util/rng.h"
 
 namespace aigs {
@@ -44,50 +45,12 @@ std::vector<Weight> RandomWeights(std::size_t n, Rng& rng, Weight max_value,
   return w;
 }
 
-// ---- Fenwick tree ----------------------------------------------------------
-
-TEST(FenwickTree, BuildAndPointUpdatesMatchBruteForce) {
-  Rng rng(1);
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t n = 1 + rng.UniformInt(100);
-    std::vector<Weight> values(n);
-    for (auto& v : values) {
-      v = rng.UniformInt(1000);
-    }
-    FenwickTree<Weight> tree(values);
-    for (int step = 0; step < 30; ++step) {
-      const std::size_t i = rng.UniformInt(n);
-      if (rng.Bernoulli(0.5) && values[i] > 0) {
-        // Subtract via modular wrap-around, the kill pattern.
-        const Weight delta = rng.UniformInt(values[i]) + 1;
-        tree.Add(i, Weight{0} - delta);
-        values[i] -= delta;
-      } else {
-        const Weight delta = rng.UniformInt(500);
-        tree.Add(i, delta);
-        values[i] += delta;
-      }
-      const std::size_t begin = rng.UniformInt(n + 1);
-      const std::size_t end = begin + rng.UniformInt(n + 1 - begin);
-      Weight expected = 0;
-      for (std::size_t k = begin; k < end; ++k) {
-        expected += values[k];
-      }
-      ASSERT_EQ(tree.RangeSum(begin, end), expected);
-    }
-    Weight total = 0;
-    for (const Weight v : values) {
-      total += v;
-    }
-    EXPECT_EQ(tree.Total(), total);
-  }
-}
-
 // ---- index state vs brute force -------------------------------------------
 
 // Mirrors an index through random yes/no answers (possibly referencing dead
-// nodes, as batched rounds do) and checks every incremental quantity against
-// recomputation over the mirrored alive set.
+// nodes, as batched rounds do) and checks every incremental quantity — the
+// general queries, the O(1) alive-node accessors, root() and Target() —
+// against recomputation over the mirrored alive set.
 void CheckStateAgainstBruteForce(const Hierarchy& h,
                                  const std::vector<Weight>& weights,
                                  Rng& steps) {
@@ -96,13 +59,14 @@ void CheckStateAgainstBruteForce(const Hierarchy& h,
   std::set<NodeId> alive;
   for (NodeId v = 0; v < h.NumNodes(); ++v) {
     alive.insert(v);
-    // Pristine: every session weight is the base's full reach weight (in
-    // Euler mode too, where it is a prefix-sum window).
+    // Pristine: every session weight is the base's full reach weight.
     const Weight full = h.reach().WeightOfReachableSet(v, weights);
     ASSERT_EQ(base.FullReachWeight(v), full) << "node " << v;
     ASSERT_EQ(index.ReachWeight(v), full) << "node " << v;
+    ASSERT_EQ(index.AliveReachWeight(v), full) << "node " << v;
   }
   ASSERT_EQ(base.Total(), base.FullReachWeight(h.root()));
+  NodeId root = h.root();
   for (int step = 0; step < 12 && alive.size() > 1; ++step) {
     // Any node may be asked about — including an already-dead one when
     // simulating a batched round's later answers.
@@ -111,6 +75,9 @@ void CheckStateAgainstBruteForce(const Hierarchy& h,
     const bool yes = steps.Bernoulli(0.5);
     if (yes) {
       index.ApplyYes(q);
+      if (h.reach().Reaches(root, q)) {
+        root = q;  // the root only moves down
+      }
       for (auto it = alive.begin(); it != alive.end();) {
         it = h.reach().Reaches(q, *it) ? std::next(it) : alive.erase(it);
       }
@@ -144,9 +111,27 @@ void CheckStateAgainstBruteForce(const Hierarchy& h,
       }
       ASSERT_EQ(index.ReachWeight(v), expected_w) << "node " << v;
       ASSERT_EQ(index.ReachCount(v), expected_c) << "node " << v;
+      if (alive.count(v) > 0) {
+        ASSERT_EQ(index.AliveReachWeight(v), expected_w) << "node " << v;
+        ASSERT_EQ(index.AliveReachCount(v), expected_c) << "node " << v;
+        for (const NodeId c : h.graph().Children(v)) {
+          ASSERT_EQ(index.IsAliveChild(c), alive.count(c) > 0)
+              << "child " << c << " of " << v;
+          const std::optional<Weight> w = index.AliveChildReachWeight(c);
+          ASSERT_EQ(w.has_value(), alive.count(c) > 0) << "child " << c;
+          if (w) {
+            ASSERT_EQ(*w, index.ReachWeight(c)) << "child " << c;
+          }
+        }
+      }
     }
+    ASSERT_EQ(index.root(), root);
     if (alive.empty()) {
       break;
+    }
+    ASSERT_TRUE(alive.count(root) > 0);
+    if (alive.size() == 1) {
+      ASSERT_EQ(index.Target(), *alive.begin());
     }
   }
 }

@@ -58,6 +58,10 @@ TEST(EpochMarker, ResizeKeepsSemantics) {
 TEST(NodeMap, InsertAndLookup) {
   NodeMap<int> m;
   EXPECT_TRUE(m.empty());
+  // A never-inserted map has no table yet; lookups and Clear still work.
+  EXPECT_EQ(m.GetOr(5, -1), -1);
+  EXPECT_FALSE(m.Contains(5));
+  m.Clear();
   m[5] = 42;
   EXPECT_EQ(m.GetOr(5, 0), 42);
   EXPECT_EQ(m.GetOr(6, -1), -1);

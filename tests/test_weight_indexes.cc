@@ -9,7 +9,6 @@
 #include "core/hierarchy.h"
 #include "core/middle_point.h"
 #include "core/split_weight_index.h"
-#include "core/tree_weight_index.h"
 #include "graph/generators.h"
 #include "tests/test_support.h"
 #include "util/rng.h"
@@ -28,101 +27,13 @@ std::vector<Weight> RandomWeights(std::size_t n, Rng& rng,
   return w;
 }
 
-// ---- TreeWeightBase ---------------------------------------------------------
-
-TEST(TreeWeightBase, SubtreeWeightsMatchDefinition) {
-  Rng rng(1);
-  const Hierarchy h = MustBuild(RandomTree(50, rng));
-  const auto weights = RandomWeights(50, rng);
-  const TreeWeightBase base(h.tree(), weights);
-  EXPECT_EQ(base.Total(), h.reach().WeightOfReachableSet(h.root(), weights));
-  for (NodeId v = 0; v < 50; ++v) {
-    EXPECT_EQ(base.SubtreeWeight(v),
-              h.reach().WeightOfReachableSet(v, weights));
-    EXPECT_EQ(base.SubtreeSize(v), h.tree().SubtreeSize(v));
-  }
-}
-
-TEST(TreeWeightBase, AddWeightUpdatesAncestorsOnly) {
-  Rng rng(2);
-  const Hierarchy h = MustBuild(RandomTree(40, rng));
-  auto weights = RandomWeights(40, rng);
-  TreeWeightBase base(h.tree(), weights);
-  const NodeId v = 23;
-  base.AddWeight(v, 7);
-  weights[v] += 7;
-  const TreeWeightBase fresh(h.tree(), weights);
-  for (NodeId x = 0; x < 40; ++x) {
-    EXPECT_EQ(base.SubtreeWeight(x), fresh.SubtreeWeight(x)) << x;
-    EXPECT_EQ(base.NodeWeight(x), fresh.NodeWeight(x)) << x;
-  }
-}
-
-TEST(TreeSearchState, OverlayMatchesScratchRecomputation) {
-  Rng rng(3);
-  for (int round = 0; round < 20; ++round) {
-    const Hierarchy h = MustBuild(RandomTree(30, rng));
-    const auto weights = RandomWeights(30, rng);
-    const TreeWeightBase base(h.tree(), weights);
-    TreeSearchState state(base);
-
-    // Mirror of candidate membership.
-    std::set<NodeId> alive;
-    for (NodeId v = 0; v < 30; ++v) {
-      alive.insert(v);
-    }
-    Rng steps(rng.Next());
-    for (int step = 0; step < 10 && alive.size() > 1; ++step) {
-      // Pick a random alive descendant of the current root, not the root.
-      std::vector<NodeId> options;
-      for (const NodeId v : alive) {
-        if (v != state.root()) {
-          options.push_back(v);
-        }
-      }
-      const NodeId q =
-          options[static_cast<std::size_t>(steps.UniformInt(options.size()))];
-      if (steps.Bernoulli(0.5)) {
-        state.ApplyYes(q);
-        std::set<NodeId> next;
-        for (const NodeId v : alive) {
-          if (h.tree().InSubtree(q, v)) {
-            next.insert(v);
-          }
-        }
-        alive = std::move(next);
-      } else {
-        state.ApplyNo(q);
-        for (auto it = alive.begin(); it != alive.end();) {
-          it = h.tree().InSubtree(q, *it) ? alive.erase(it) : std::next(it);
-        }
-      }
-      // Session subtree weight/size must equal the sum over alive nodes,
-      // for every node in the current root's alive subtree.
-      for (const NodeId v : alive) {
-        Weight expected_w = 0;
-        std::uint32_t expected_s = 0;
-        for (const NodeId x : alive) {
-          if (h.tree().InSubtree(v, x)) {
-            expected_w += weights[x];
-            ++expected_s;
-          }
-        }
-        ASSERT_EQ(state.SubtreeWeight(v), expected_w) << "node " << v;
-        ASSERT_EQ(state.SubtreeSize(v), expected_s) << "node " << v;
-      }
-      ASSERT_EQ(state.CandidateCount(), alive.size());
-    }
-  }
-}
-
-// ---- Differential: the tree layer and the split layer agree on trees -------
+// ---- Differential: Euler and closure modes agree on trees ----------------
 
 TEST(SessionDifferential, TreeAndDagStatesAgreeOnTrees) {
-  // For identical operation sequences, TreeSearchState's subtree weights
-  // must equal SplitWeightIndex's reach weights exactly — in Euler mode (the
-  // tree's default index) and in compressed-closure mode (the DAG layout,
-  // forced onto the same tree).
+  // For identical operation sequences on one tree, SplitWeightIndex's Euler
+  // mode (the removed-subtree overlay, the tree's default index) and its
+  // compressed-closure mode (the DAG layout, forced onto the same tree)
+  // must both equal brute-force recomputation over the alive set.
   ReachabilityOptions compressed;
   compressed.closure = ReachabilityOptions::Closure::kCompressed;
   compressed.force_closure_on_trees = true;
@@ -131,53 +42,65 @@ TEST(SessionDifferential, TreeAndDagStatesAgreeOnTrees) {
     const Digraph g = RandomTree(2 + rng.UniformInt(40), rng);
     const std::size_t n = g.NumNodes();
     const auto weights = RandomWeights(n, rng);
-    const std::uint64_t steps_seed = rng.Next();
-    for (const bool force_closure : {false, true}) {
-      SCOPED_TRACE(force_closure ? "compressed" : "euler");
-      auto built = Hierarchy::Build(Digraph(g), force_closure
-                                                    ? compressed
-                                                    : ReachabilityOptions{});
-      ASSERT_TRUE(built.ok());
-      const Hierarchy& h = *built;
-      ASSERT_EQ(h.reach().euler_mode(), !force_closure);
-      const TreeWeightBase tree_base(h.tree(), weights);
-      const SplitWeightBase split_base(h, weights);
-      TreeSearchState tree_state(tree_base);
-      SplitWeightIndex split_state(split_base);
+    const Hierarchy euler_h = MustBuild(Digraph(g));
+    auto built = Hierarchy::Build(Digraph(g), compressed);
+    ASSERT_TRUE(built.ok());
+    const Hierarchy& closure_h = *built;
+    ASSERT_TRUE(euler_h.reach().euler_mode());
+    ASSERT_FALSE(closure_h.reach().euler_mode());
+    const SplitWeightBase euler_base(euler_h, weights);
+    const SplitWeightBase closure_base(closure_h, weights);
+    SplitWeightIndex euler(euler_base);
+    SplitWeightIndex closure(closure_base);
 
-      Rng steps(steps_seed);
-      while (split_state.AliveCount() > 1) {
-        // Pick any alive non-root node; both states see the same
-        // candidates.
-        std::vector<NodeId> options;
-        split_state.ForEachAlive([&](NodeId v) {
-          if (v != split_state.root()) {
-            options.push_back(v);
+    std::set<NodeId> alive;
+    for (NodeId v = 0; v < n; ++v) {
+      alive.insert(v);
+    }
+    Rng steps(rng.Next());
+    while (alive.size() > 1) {
+      // Pick any alive non-root node; both states see the same candidates.
+      std::vector<NodeId> options;
+      for (const NodeId v : alive) {
+        if (v != euler.root()) {
+          options.push_back(v);
+        }
+      }
+      const NodeId q = options[static_cast<std::size_t>(
+          steps.UniformInt(options.size()))];
+      const bool yes = steps.Bernoulli(0.5);
+      // q is alive and not the root: the planned-question applier's case.
+      for (SplitWeightIndex* index : {&euler, &closure}) {
+        index->ApplyPlanned(q, yes);
+      }
+      for (auto it = alive.begin(); it != alive.end();) {
+        it = euler_h.reach().Reaches(q, *it) == yes ? std::next(it)
+                                                    : alive.erase(it);
+      }
+      ASSERT_EQ(euler.root(), closure.root());
+      for (const SplitWeightIndex* index : {&euler, &closure}) {
+        SCOPED_TRACE(index == &euler ? "euler" : "compressed");
+        ASSERT_EQ(index->AliveCount(), alive.size());
+        for (const NodeId v : alive) {
+          Weight expected_w = 0;
+          std::size_t expected_c = 0;
+          for (const NodeId x : alive) {
+            if (euler_h.reach().Reaches(v, x)) {
+              expected_w += weights[x];
+              ++expected_c;
+            }
           }
-        });
-        std::sort(options.begin(), options.end());
-        const NodeId q = options[static_cast<std::size_t>(
-            steps.UniformInt(options.size()))];
-        if (steps.Bernoulli(0.5)) {
-          tree_state.ApplyYes(q);
-          split_state.ApplyYes(q);
-        } else {
-          tree_state.ApplyNo(q);
-          split_state.ApplyNo(q);
+          if (v == index->root()) {
+            ASSERT_EQ(index->TotalAlive(), expected_w);
+          }
+          ASSERT_EQ(index->AliveReachWeight(v), expected_w) << "node " << v;
+          ASSERT_EQ(index->AliveReachCount(v), expected_c) << "node " << v;
+          ASSERT_EQ(index->ReachWeight(v), expected_w) << "node " << v;
+          ASSERT_EQ(index->ReachCount(v), expected_c) << "node " << v;
         }
-        ASSERT_EQ(tree_state.root(), split_state.root());
-        ASSERT_EQ(tree_state.CandidateCount(), split_state.AliveCount());
-        ASSERT_EQ(tree_state.SubtreeWeight(tree_state.root()),
-                  split_state.TotalAlive());
-        split_state.ForEachAlive([&](NodeId v) {
-          ASSERT_EQ(tree_state.SubtreeWeight(v), split_state.ReachWeight(v))
-              << "node " << v;
-          ASSERT_EQ(tree_state.SubtreeSize(v), split_state.ReachCount(v))
-              << "node " << v;
-        });
-        if (steps.UniformInt(4) == 0) {
-          break;  // vary sequence lengths
-        }
+      }
+      if (steps.UniformInt(4) == 0) {
+        break;  // vary sequence lengths
       }
     }
   }
